@@ -21,7 +21,8 @@
 //! is exact up to the derivative of the Miller factor (a few percent);
 //! the solvers re-freeze coefficients every sweep so their fixed points
 //! satisfy the *exact* first-order conditions to within that residual,
-//! and [`crate::bounds`] optionally polishes with exact line searches.
+//! and [`crate::bounds`] optionally polishes coordinate by coordinate on
+//! the exact model.
 
 use pops_delay::model::Edge;
 use pops_delay::{Library, TimedPath};
@@ -54,13 +55,7 @@ pub fn operating_point(lib: &Library, path: &TimedPath, sizes: &[f64]) -> Operat
     let process = lib.process();
     let tau = process.tau_ps;
 
-    // Edge bookkeeping: input edge of stage i.
-    let mut in_edges = Vec::with_capacity(n);
-    let mut edge = path.input_edge();
-    for stage in path.stages() {
-        in_edges.push(edge);
-        edge = edge.through(stage.cell);
-    }
+    let in_edges = input_edges(path);
 
     let mut a = Vec::with_capacity(n);
     let mut load_ext = Vec::with_capacity(n);
@@ -102,6 +97,20 @@ pub fn operating_point(lib: &Library, path: &TimedPath, sizes: &[f64]) -> Operat
         up_corr,
         own_corr,
     }
+}
+
+/// Input edge of every stage: the path input edge pushed through each
+/// cell's polarity (sizing never changes it).
+pub(crate) fn input_edges(path: &TimedPath) -> Vec<Edge> {
+    let mut edge = path.input_edge();
+    path.stages()
+        .iter()
+        .map(|stage| {
+            let here = edge;
+            edge = edge.through(stage.cell);
+            here
+        })
+        .collect()
 }
 
 /// Analytic path gradient `∂T/∂C_IN(i)` at `sizes` — exact at the

@@ -1,15 +1,19 @@
 //! Arena-based combinational circuit graph.
 //!
-//! A [`Circuit`] owns two arenas — nets and gates — indexed by the opaque
+//! A [`Circuit`] holds two arenas — nets and gates — indexed by the opaque
 //! ids [`NetId`] and [`GateId`]. Every net has at most one driver (a
 //! primary input or a gate output) and any number of loads (gate input
 //! pins or primary outputs). The graph must be acyclic; [`Circuit::topo_order`]
 //! both checks this and provides the evaluation/timing order used by the
 //! STA and optimizer crates.
+//!
+//! A `Circuit` is a copy-on-write handle: clones share one body until one
+//! of them mutates, so keeping a snapshot of a netlist costs nothing
+//! until the netlist is edited.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;
@@ -121,6 +125,13 @@ impl Gate {
 
 /// A combinational gate-level circuit.
 ///
+/// `Circuit` is a handle on a reference-counted body. Cloning is O(1)
+/// and shares the body; reads borrow it. Every `&mut self` method goes
+/// through [`Arc::make_mut`], which copies the body first when another
+/// handle shares it (copy-on-write), so an edit through one clone is
+/// never seen through another, and the structure caches it resets are
+/// that handle's own.
+///
 /// # Example
 ///
 /// ```
@@ -141,7 +152,12 @@ impl Gate {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct Circuit {
+pub struct Circuit(Arc<CircuitBody>);
+
+/// The arenas and caches behind a [`Circuit`] handle. Shared by every
+/// clone until one of them mutates.
+#[derive(Debug, Clone)]
+struct CircuitBody {
     name: String,
     nets: Vec<Net>,
     gates: Vec<Gate>,
@@ -187,7 +203,7 @@ pub struct DeMorganEdit {
 impl Circuit {
     /// Create an empty circuit with the given name.
     pub fn new(name: impl Into<String>) -> Self {
-        Circuit {
+        Circuit(Arc::new(CircuitBody {
             name: name.into(),
             nets: Vec::new(),
             gates: Vec::new(),
@@ -196,49 +212,57 @@ impl Circuit {
             by_name: HashMap::new(),
             topo_cache: OnceLock::new(),
             levels_cache: OnceLock::new(),
-        }
+        }))
+    }
+
+    /// Write access to the body, copying it first if another handle
+    /// shares it. Every mutator goes through here, so edits to one clone
+    /// are never seen by another.
+    fn body_mut(&mut self) -> &mut CircuitBody {
+        Arc::make_mut(&mut self.0)
     }
 
     /// Drop the memoized topo/level results. Every mutation of gates,
     /// drivers or load pins must call this before returning.
     fn invalidate_structure_caches(&mut self) {
-        self.topo_cache = OnceLock::new();
-        self.levels_cache = OnceLock::new();
+        let body = self.body_mut();
+        body.topo_cache = OnceLock::new();
+        body.levels_cache = OnceLock::new();
     }
 
     /// Circuit name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// Number of gates.
     pub fn gate_count(&self) -> usize {
-        self.gates.len()
+        self.0.gates.len()
     }
 
     /// Number of nets.
     pub fn net_count(&self) -> usize {
-        self.nets.len()
+        self.0.nets.len()
     }
 
     /// Primary input nets, in declaration order.
     pub fn primary_inputs(&self) -> &[NetId] {
-        &self.inputs
+        &self.0.inputs
     }
 
     /// Primary output nets, in declaration order.
     pub fn primary_outputs(&self) -> &[NetId] {
-        &self.outputs
+        &self.0.outputs
     }
 
     /// Iterate over all gate ids.
     pub fn gate_ids(&self) -> impl Iterator<Item = GateId> + '_ {
-        (0..self.gates.len() as u32).map(GateId)
+        (0..self.0.gates.len() as u32).map(GateId)
     }
 
     /// Iterate over all net ids.
     pub fn net_ids(&self) -> impl Iterator<Item = NetId> + '_ {
-        (0..self.nets.len() as u32).map(NetId)
+        (0..self.0.nets.len() as u32).map(NetId)
     }
 
     /// Access a gate.
@@ -247,7 +271,7 @@ impl Circuit {
     ///
     /// Panics if `id` does not belong to this circuit.
     pub fn gate(&self, id: GateId) -> &Gate {
-        &self.gates[id.index()]
+        &self.0.gates[id.index()]
     }
 
     /// Access a net.
@@ -256,12 +280,12 @@ impl Circuit {
     ///
     /// Panics if `id` does not belong to this circuit.
     pub fn net(&self, id: NetId) -> &Net {
-        &self.nets[id.index()]
+        &self.0.nets[id.index()]
     }
 
     /// Look a net up by name.
     pub fn net_by_name(&self, name: &str) -> Option<NetId> {
-        self.by_name.get(name).copied()
+        self.0.by_name.get(name).copied()
     }
 
     /// Create an undriven, unnamed-load net.
@@ -269,21 +293,22 @@ impl Circuit {
     /// If `name` collides with an existing net, a fresh suffixed name is
     /// generated (netlist builders rely on this for internal nets).
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
+        let body = self.body_mut();
         let mut name = name.into();
-        if self.by_name.contains_key(&name) {
+        if body.by_name.contains_key(&name) {
             let mut i = 1usize;
             loop {
                 let candidate = format!("{name}_{i}");
-                if !self.by_name.contains_key(&candidate) {
+                if !body.by_name.contains_key(&candidate) {
                     name = candidate;
                     break;
                 }
                 i += 1;
             }
         }
-        let id = NetId(self.nets.len() as u32);
-        self.by_name.insert(name.clone(), id);
-        self.nets.push(Net {
+        let id = NetId(body.nets.len() as u32);
+        body.by_name.insert(name.clone(), id);
+        body.nets.push(Net {
             name,
             driver: None,
             loads: Vec::new(),
@@ -295,8 +320,9 @@ impl Circuit {
     /// Declare a primary input net.
     pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
         let id = self.add_net(name);
-        self.nets[id.index()].driver = Some(NetDriver::PrimaryInput);
-        self.inputs.push(id);
+        let body = self.body_mut();
+        body.nets[id.index()].driver = Some(NetDriver::PrimaryInput);
+        body.inputs.push(id);
         self.invalidate_structure_caches();
         id
     }
@@ -339,21 +365,22 @@ impl Circuit {
             });
         }
         for &net in inputs.iter().chain(std::iter::once(&output)) {
-            if net.index() >= self.nets.len() {
+            if net.index() >= self.0.nets.len() {
                 return Err(NetlistError::InvalidId(format!("net {net}")));
             }
         }
-        if self.nets[output.index()].driver.is_some() {
+        if self.0.nets[output.index()].driver.is_some() {
             return Err(NetlistError::MultipleDrivers(
-                self.nets[output.index()].name.clone(),
+                self.0.nets[output.index()].name.clone(),
             ));
         }
-        let gid = GateId(self.gates.len() as u32);
+        let body = self.body_mut();
+        let gid = GateId(body.gates.len() as u32);
         for (pin, &net) in inputs.iter().enumerate() {
-            self.nets[net.index()].loads.push((gid, pin));
+            body.nets[net.index()].loads.push((gid, pin));
         }
-        self.nets[output.index()].driver = Some(NetDriver::Gate(gid));
-        self.gates.push(Gate {
+        body.nets[output.index()].driver = Some(NetDriver::Gate(gid));
+        body.gates.push(Gate {
             kind,
             inputs: inputs.to_vec(),
             output,
@@ -365,7 +392,7 @@ impl Circuit {
     /// The gate driving a net, if any (`None` for primary inputs and
     /// undriven nets).
     pub fn driver_gate(&self, net: NetId) -> Option<GateId> {
-        match self.nets[net.index()].driver {
+        match self.0.nets[net.index()].driver {
             Some(NetDriver::Gate(g)) => Some(g),
             _ => None,
         }
@@ -377,14 +404,15 @@ impl Circuit {
     /// This is the fanout adjacency the incremental timing engine walks
     /// when a net's arrival changes.
     pub fn fanout_gates(&self, net: NetId) -> impl Iterator<Item = GateId> + '_ {
-        self.nets[net.index()].loads.iter().map(|&(g, _pin)| g)
+        self.0.nets[net.index()].loads.iter().map(|&(g, _pin)| g)
     }
 
     /// Mark a net as a primary output.
     pub fn mark_output(&mut self, net: NetId) {
-        if !self.nets[net.index()].is_output {
-            self.nets[net.index()].is_output = true;
-            self.outputs.push(net);
+        if !self.0.nets[net.index()].is_output {
+            let body = self.body_mut();
+            body.nets[net.index()].is_output = true;
+            body.outputs.push(net);
         }
     }
 
@@ -401,18 +429,18 @@ impl Circuit {
         if loads.is_empty() {
             return Err(NetlistError::UnsupportedEdit(format!(
                 "no load pins to move off net `{}`",
-                self.nets[net.index()].name
+                self.0.nets[net.index()].name
             )));
         }
         for (i, &(g, pin)) in loads.iter().enumerate() {
-            if g.index() >= self.gates.len() {
+            if g.index() >= self.0.gates.len() {
                 return Err(NetlistError::InvalidId(format!("gate {g}")));
             }
-            let gate = &self.gates[g.index()];
+            let gate = &self.0.gates[g.index()];
             if pin >= gate.inputs.len() || gate.inputs[pin] != net {
                 return Err(NetlistError::UnsupportedEdit(format!(
                     "pin {pin} of {g} does not load net `{}`",
-                    self.nets[net.index()].name
+                    self.0.nets[net.index()].name
                 )));
             }
             if loads[..i].contains(&(g, pin)) {
@@ -439,17 +467,18 @@ impl Circuit {
         net: NetId,
         loads: &[(GateId, usize)],
     ) -> Result<NetId, NetlistError> {
-        if net.index() >= self.nets.len() {
+        if net.index() >= self.0.nets.len() {
             return Err(NetlistError::InvalidId(format!("net {net}")));
         }
         self.check_load_pins(net, loads)?;
-        let new = self.add_net(format!("{}_split", self.nets[net.index()].name));
-        self.nets[net.index()]
+        let new = self.add_net(format!("{}_split", self.0.nets[net.index()].name));
+        let body = self.body_mut();
+        body.nets[net.index()]
             .loads
             .retain(|pin| !loads.contains(pin));
         for &(g, pin) in loads {
-            self.gates[g.index()].inputs[pin] = new;
-            self.nets[new.index()].loads.push((g, pin));
+            body.gates[g.index()].inputs[pin] = new;
+            body.nets[new.index()].loads.push((g, pin));
         }
         self.invalidate_structure_caches();
         Ok(new)
@@ -474,16 +503,16 @@ impl Circuit {
         net: NetId,
         loads: &[(GateId, usize)],
     ) -> Result<BufferInsertion, NetlistError> {
-        if net.index() >= self.nets.len() {
+        if net.index() >= self.0.nets.len() {
             return Err(NetlistError::InvalidId(format!("net {net}")));
         }
-        if self.nets[net.index()].driver.is_none() {
+        if self.0.nets[net.index()].driver.is_none() {
             return Err(NetlistError::UndefinedNet(
-                self.nets[net.index()].name.clone(),
+                self.0.nets[net.index()].name.clone(),
             ));
         }
         let out_net = self.split_net(net, loads)?;
-        let mid_net = self.add_net(format!("{}_buf", self.nets[net.index()].name));
+        let mid_net = self.add_net(format!("{}_buf", self.0.nets[net.index()].name));
         let first = self.add_gate_driving(CellKind::Inv, &[net], mid_net)?;
         let second = self.add_gate_driving(CellKind::Inv, &[mid_net], out_net)?;
         Ok(BufferInsertion {
@@ -498,12 +527,12 @@ impl Circuit {
     /// load/driver adjacency (i.e. `target` lies in `gate`'s transitive
     /// fanout). Used to reject rewirings that would close a cycle.
     fn in_fanout_cone(&self, gate: GateId, target: GateId) -> bool {
-        let mut seen = vec![false; self.gates.len()];
+        let mut seen = vec![false; self.0.gates.len()];
         let mut stack = vec![gate];
         seen[gate.index()] = true;
         while let Some(g) = stack.pop() {
-            let out = self.gates[g.index()].output;
-            for &(load, _) in &self.nets[out.index()].loads {
+            let out = self.0.gates[g.index()].output;
+            for &(load, _) in &self.0.nets[out.index()].loads {
                 if load == target {
                     return true;
                 }
@@ -542,7 +571,7 @@ impl Circuit {
         kind: CellKind,
         inputs: &[NetId],
     ) -> Result<(), NetlistError> {
-        if gate.index() >= self.gates.len() {
+        if gate.index() >= self.0.gates.len() {
             return Err(NetlistError::InvalidId(format!("gate {gate}")));
         }
         if inputs.len() != kind.num_inputs() {
@@ -553,18 +582,18 @@ impl Circuit {
             });
         }
         for &net in inputs {
-            if net.index() >= self.nets.len() {
+            if net.index() >= self.0.nets.len() {
                 return Err(NetlistError::InvalidId(format!("net {net}")));
             }
             // Nets already feeding the gate cannot introduce anything
             // new; only genuinely new connections need the checks.
-            if self.gates[gate.index()].inputs.contains(&net) {
+            if self.0.gates[gate.index()].inputs.contains(&net) {
                 continue;
             }
-            match self.nets[net.index()].driver {
+            match self.0.nets[net.index()].driver {
                 None => {
                     return Err(NetlistError::UndefinedNet(
-                        self.nets[net.index()].name.clone(),
+                        self.0.nets[net.index()].name.clone(),
                     ));
                 }
                 Some(NetDriver::Gate(d)) => {
@@ -575,16 +604,17 @@ impl Circuit {
                 Some(NetDriver::PrimaryInput) => {}
             }
         }
-        let old_inputs = std::mem::take(&mut self.gates[gate.index()].inputs);
+        let body = self.body_mut();
+        let old_inputs = std::mem::take(&mut body.gates[gate.index()].inputs);
         for (pin, &n) in old_inputs.iter().enumerate() {
-            self.nets[n.index()]
+            body.nets[n.index()]
                 .loads
                 .retain(|&(g, p)| !(g == gate && p == pin));
         }
         for (pin, &n) in inputs.iter().enumerate() {
-            self.nets[n.index()].loads.push((gate, pin));
+            body.nets[n.index()].loads.push((gate, pin));
         }
-        let g = &mut self.gates[gate.index()];
+        let g = &mut body.gates[gate.index()];
         g.kind = kind;
         g.inputs = inputs.to_vec();
         self.invalidate_structure_caches();
@@ -606,22 +636,22 @@ impl Circuit {
     /// [`NetlistError::UnsupportedEdit`] for cells without a
     /// series-stack dual (anything outside the NAND/NOR families).
     pub fn demorgan_gate(&mut self, gate: GateId) -> Result<DeMorganEdit, NetlistError> {
-        if gate.index() >= self.gates.len() {
+        if gate.index() >= self.0.gates.len() {
             return Err(NetlistError::InvalidId(format!("gate {gate}")));
         }
-        let kind = self.gates[gate.index()].kind;
+        let kind = self.0.gates[gate.index()].kind;
         let Some(dual) = kind.demorgan_dual() else {
             return Err(NetlistError::UnsupportedEdit(format!(
                 "{kind} has no De Morgan dual"
             )));
         };
-        let old_inputs = self.gates[gate.index()].inputs.clone();
-        let y = self.gates[gate.index()].output;
+        let old_inputs = self.0.gates[gate.index()].inputs.clone();
+        let y = self.0.gates[gate.index()].output;
 
         let mut input_invs = Vec::with_capacity(old_inputs.len());
         let mut input_nets = Vec::with_capacity(old_inputs.len());
         for &a in &old_inputs {
-            let na = self.add_net(format!("{}_dm", self.nets[a.index()].name));
+            let na = self.add_net(format!("{}_dm", self.0.nets[a.index()].name));
             let inv = self.add_gate_driving(CellKind::Inv, &[a], na)?;
             input_invs.push(inv);
             input_nets.push(na);
@@ -630,10 +660,11 @@ impl Circuit {
         // Re-home the gate's output onto a fresh internal net, then swap
         // in the dual over the inverted inputs and restore polarity on
         // the original net.
-        let inner_net = self.add_net(format!("{}_dmz", self.nets[y.index()].name));
-        self.nets[y.index()].driver = None;
-        self.nets[inner_net.index()].driver = Some(NetDriver::Gate(gate));
-        self.gates[gate.index()].output = inner_net;
+        let inner_net = self.add_net(format!("{}_dmz", self.0.nets[y.index()].name));
+        let body = self.body_mut();
+        body.nets[y.index()].driver = None;
+        body.nets[inner_net.index()].driver = Some(NetDriver::Gate(gate));
+        body.gates[gate.index()].output = inner_net;
         self.replace_gate(gate, dual, &input_nets)?;
         let output_inv = self.add_gate_driving(CellKind::Inv, &[inner_net], y)?;
 
@@ -660,7 +691,8 @@ impl Circuit {
     /// cyclic, or [`NetlistError::UndefinedNet`] if some gate input net has
     /// no driver.
     pub fn topo_order(&self) -> Result<Vec<GateId>, NetlistError> {
-        self.topo_cache
+        self.0
+            .topo_cache
             .get_or_init(|| self.compute_topo_order())
             .clone()
     }
@@ -669,22 +701,23 @@ impl Circuit {
         // Kahn's algorithm over gates; a gate becomes ready once all of its
         // input nets are resolved (primary inputs start resolved).
         let mut unresolved: Vec<usize> = self
+            .0
             .gates
             .iter()
             .map(|g| {
                 g.inputs
                     .iter()
                     .filter(|&&n| {
-                        !matches!(self.nets[n.index()].driver, Some(NetDriver::PrimaryInput))
+                        !matches!(self.0.nets[n.index()].driver, Some(NetDriver::PrimaryInput))
                     })
                     .count()
             })
             .collect();
-        for gate in &self.gates {
+        for gate in &self.0.gates {
             for &n in &gate.inputs {
-                if self.nets[n.index()].driver.is_none() {
+                if self.0.nets[n.index()].driver.is_none() {
                     return Err(NetlistError::UndefinedNet(
-                        self.nets[n.index()].name.clone(),
+                        self.0.nets[n.index()].name.clone(),
                     ));
                 }
             }
@@ -693,18 +726,18 @@ impl Circuit {
             .gate_ids()
             .filter(|&g| unresolved[g.index()] == 0)
             .collect();
-        let mut order = Vec::with_capacity(self.gates.len());
+        let mut order = Vec::with_capacity(self.0.gates.len());
         while let Some(gid) = ready.pop() {
             order.push(gid);
-            let out = self.gates[gid.index()].output;
-            for &(load, _) in &self.nets[out.index()].loads {
+            let out = self.0.gates[gid.index()].output;
+            for &(load, _) in &self.0.nets[out.index()].loads {
                 unresolved[load.index()] -= 1;
                 if unresolved[load.index()] == 0 {
                     ready.push(load);
                 }
             }
         }
-        if order.len() != self.gates.len() {
+        if order.len() != self.0.gates.len() {
             return Err(NetlistError::CombinationalCycle);
         }
         Ok(order)
@@ -719,14 +752,15 @@ impl Circuit {
     ///
     /// Propagates [`Circuit::topo_order`] errors.
     pub fn logic_levels(&self) -> Result<Vec<usize>, NetlistError> {
-        self.levels_cache
+        self.0
+            .levels_cache
             .get_or_init(|| {
                 let order = self.topo_order()?;
-                let mut level = vec![0usize; self.gates.len()];
+                let mut level = vec![0usize; self.0.gates.len()];
                 for gid in order {
                     let mut lvl = 1;
-                    for &n in self.gates[gid.index()].inputs() {
-                        if let Some(NetDriver::Gate(src)) = self.nets[n.index()].driver {
+                    for &n in self.0.gates[gid.index()].inputs() {
+                        if let Some(NetDriver::Gate(src)) = self.0.nets[n.index()].driver {
                             lvl = lvl.max(level[src.index()] + 1);
                         }
                     }
@@ -759,9 +793,10 @@ impl Circuit {
     ) -> Result<HashMap<String, bool>, NetlistError> {
         let values = self.evaluate_all(input_values)?;
         Ok(self
+            .0
             .outputs
             .iter()
-            .map(|&n| (self.nets[n.index()].name.clone(), values[n.index()]))
+            .map(|&n| (self.0.nets[n.index()].name.clone(), values[n.index()]))
             .collect())
     }
 
@@ -776,9 +811,9 @@ impl Circuit {
         input_values: &HashMap<&str, bool>,
     ) -> Result<Vec<bool>, NetlistError> {
         let order = self.topo_order()?;
-        let mut values = vec![false; self.nets.len()];
-        for &n in &self.inputs {
-            let name = self.nets[n.index()].name.as_str();
+        let mut values = vec![false; self.0.nets.len()];
+        for &n in &self.0.inputs {
+            let name = self.0.nets[n.index()].name.as_str();
             match input_values.get(name) {
                 Some(&v) => values[n.index()] = v,
                 None => return Err(NetlistError::MissingInputValue(name.to_string())),
@@ -786,7 +821,7 @@ impl Circuit {
         }
         let mut buf = Vec::with_capacity(4);
         for gid in order {
-            let gate = &self.gates[gid.index()];
+            let gate = &self.0.gates[gid.index()];
             buf.clear();
             buf.extend(gate.inputs.iter().map(|&n| values[n.index()]));
             values[gate.output.index()] = gate.kind.evaluate(&buf);
@@ -801,7 +836,7 @@ impl Circuit {
     ///
     /// The first violation found, as a [`NetlistError`].
     pub fn validate(&self) -> Result<(), NetlistError> {
-        for net in &self.nets {
+        for net in &self.0.nets {
             if net.driver.is_none() && (net.is_output || !net.loads.is_empty()) {
                 return Err(NetlistError::UndefinedNet(net.name.clone()));
             }
@@ -812,13 +847,13 @@ impl Circuit {
 
     /// Total number of gate input pins (a cheap size proxy used in reports).
     pub fn pin_count(&self) -> usize {
-        self.gates.iter().map(|g| g.inputs.len()).sum()
+        self.0.gates.iter().map(|g| g.inputs.len()).sum()
     }
 
     /// Histogram of cell kinds used.
     pub fn cell_histogram(&self) -> HashMap<CellKind, usize> {
         let mut h = HashMap::new();
-        for g in &self.gates {
+        for g in &self.0.gates {
             *h.entry(g.kind).or_insert(0) += 1;
         }
         h
@@ -1132,6 +1167,72 @@ mod tests {
         assert_eq!(c.net(y).fanout(), 1, "downstream load untouched");
         assert_eq!(c.driver_gate(edit.inner_net), Some(g));
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn clones_share_one_body_until_one_mutates() {
+        let (a, y) = and_of_two();
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.0, &b.0), "a clone shares the body");
+        // A no-op mutator call (the net is already an output) keeps it.
+        b.mark_output(y);
+        assert!(Arc::ptr_eq(&a.0, &b.0));
+        b.add_net("fresh");
+        assert!(!Arc::ptr_eq(&a.0, &b.0), "the first edit copies");
+        assert_eq!(a.net_count() + 1, b.net_count());
+    }
+
+    #[test]
+    fn surgery_on_a_clone_leaves_the_original_untouched() {
+        // A NOR driving three inverter loads: room for every primitive.
+        let mut a = Circuit::new("t");
+        let x = a.add_input("x");
+        let z = a.add_input("z");
+        let n = a.add_gate(CellKind::Nor2, &[x, z], "n").unwrap();
+        let nor = a.driver_gate(n).unwrap();
+        let mut loads = Vec::new();
+        for i in 0..3 {
+            let y = a.add_gate(CellKind::Inv, &[n], format!("y{i}")).unwrap();
+            loads.push(a.driver_gate(y).unwrap());
+            a.mark_output(y);
+        }
+        let patterns: Vec<HashMap<&str, bool>> = (0..4u32)
+            .map(|p| [("x", p & 1 == 1), ("z", p & 2 == 2)].into_iter().collect())
+            .collect();
+        let gates = a.gate_count();
+        let order = a.topo_order().unwrap();
+        let levels = a.logic_levels().unwrap();
+        let outputs: Vec<_> = patterns.iter().map(|p| a.evaluate(p).unwrap()).collect();
+
+        let mut b = a.clone();
+        b.insert_buffer(n, &[(loads[0], 0), (loads[1], 0)]).unwrap();
+        b.demorgan_gate(nor).unwrap();
+        b.replace_gate(loads[2], CellKind::Buf, &[x]).unwrap();
+        b.validate().unwrap();
+        assert!(b.gate_count() > gates);
+
+        assert_eq!(a.gate_count(), gates);
+        assert_eq!(a.gate(nor).kind(), CellKind::Nor2);
+        // The original's caches were warm before the clone and no edit
+        // through `b` reset them.
+        assert!(a.0.topo_cache.get().is_some());
+        assert!(a.0.levels_cache.get().is_some());
+        assert_eq!(a.topo_order().unwrap(), order);
+        assert_eq!(a.logic_levels().unwrap(), levels);
+        for (p, before) in patterns.iter().zip(&outputs) {
+            assert_eq!(&a.evaluate(p).unwrap(), before);
+        }
+        // The cached order is still a valid fanin-first order of `a`.
+        let pos: HashMap<GateId, usize> = order.iter().enumerate().map(|(i, &g)| (g, i)).collect();
+        assert_eq!(pos.len(), a.gate_count());
+        for gid in a.gate_ids() {
+            for &net in a.gate(gid).inputs() {
+                if let Some(NetDriver::Gate(src)) = a.net(net).driver() {
+                    assert!(pos[&src] < pos[&gid]);
+                }
+            }
+        }
+        a.validate().unwrap();
     }
 
     #[test]

@@ -133,7 +133,6 @@
 //! sequential by construction (`tests/parallel_flush_equivalence.rs`
 //! proves it differentially anyway).
 
-use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 
 use pops_delay::model::{gate_delay_with_output_edge_vt, Edge};
@@ -330,11 +329,11 @@ impl GateParams {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TimingGraph<'c> {
-    /// The circuit being timed. Starts borrowed; the first
-    /// [`TimingGraph::apply_edits`] clones it into an owned netlist the
-    /// graph can mutate (structural write-back), after which
+    /// The circuit being timed: a copy-on-write handle that shares the
+    /// caller's netlist until the first [`TimingGraph::apply_edits`]
+    /// (structural write-back) copies it, after which
     /// [`TimingGraph::circuit`] is the authoritative netlist.
-    circuit: Cow<'c, Circuit>,
+    circuit: Circuit,
     lib: &'c Library,
     options: AnalyzeOptions,
     sizing: Sizing,
@@ -800,7 +799,7 @@ impl<'c> TimingGraph<'c> {
     /// Propagates netlist structural errors (cycles, undriven nets) from
     /// [`Circuit::topo_order`].
     pub fn new(
-        circuit: &'c Circuit,
+        circuit: &Circuit,
         lib: &'c Library,
         sizing: &Sizing,
     ) -> Result<Self, NetlistError> {
@@ -813,7 +812,7 @@ impl<'c> TimingGraph<'c> {
     ///
     /// As [`TimingGraph::new`].
     pub fn with_options(
-        circuit: &'c Circuit,
+        circuit: &Circuit,
         lib: &'c Library,
         sizing: &Sizing,
         options: &AnalyzeOptions,
@@ -840,7 +839,7 @@ impl<'c> TimingGraph<'c> {
     ///
     /// As [`TimingGraph::new`].
     pub fn with_corners(
-        circuit: &'c Circuit,
+        circuit: &Circuit,
         lib: &'c Library,
         sizing: &Sizing,
         options: &AnalyzeOptions,
@@ -851,7 +850,7 @@ impl<'c> TimingGraph<'c> {
     }
 
     fn build(
-        circuit: &'c Circuit,
+        circuit: &Circuit,
         lib: &'c Library,
         corner_libs: Vec<Library>,
         sizing: &Sizing,
@@ -876,7 +875,7 @@ impl<'c> TimingGraph<'c> {
         let gate_params = build_gate_params(circuit, &corner_libs, &vt_class);
 
         let graph = TimingGraph {
-            circuit: Cow::Borrowed(circuit),
+            circuit: circuit.clone(),
             lib,
             options: options.clone(),
             sizing: sizing.clone(),
@@ -970,7 +969,7 @@ impl<'c> TimingGraph<'c> {
     /// this is the graph's own edited copy — the authoritative netlist
     /// for every id the graph hands out.
     pub fn circuit(&self) -> &Circuit {
-        self.circuit.as_ref()
+        &self.circuit
     }
 
     /// The current sizing (the graph owns its copy; mutate it through
@@ -1633,10 +1632,10 @@ impl<'c> TimingGraph<'c> {
     /// replacements, De Morgan rewrites — to the circuit *and* patch the
     /// timing state around them, instead of rebuilding from scratch.
     ///
-    /// On the first call the graph clones the borrowed circuit into an
-    /// owned copy (the caller's original netlist is never mutated);
-    /// from then on [`TimingGraph::circuit`] is the authoritative,
-    /// edited netlist. The graph then
+    /// On the first call the graph's circuit handle copies the netlist
+    /// it shares with the caller (copy-on-write: the caller's original is
+    /// never mutated); from then on [`TimingGraph::circuit`] is the
+    /// authoritative, edited netlist. The graph then
     ///
     /// 1. applies the plan through the [`Circuit`] surgery primitives
     ///    (append-only: every pre-existing id stays valid),
@@ -1675,11 +1674,11 @@ impl<'c> TimingGraph<'c> {
         if plan.is_empty() {
             return Ok(Vec::new());
         }
-        plan.validate(self.circuit.as_ref())?;
+        plan.validate(&self.circuit)?;
         let mut applied = Vec::with_capacity(plan.len());
         let mut first_err = None;
         {
-            let circuit = self.circuit.to_mut();
+            let circuit = &mut self.circuit;
             for op in plan.ops() {
                 match op.apply_to(circuit) {
                     Ok(a) => applied.push(a),
@@ -1718,7 +1717,7 @@ impl<'c> TimingGraph<'c> {
     /// log understates. No arc is evaluated here — the whole cone
     /// re-time is deferred to the first timing query.
     fn resync_after_surgery(&mut self, applied: &[AppliedEdit]) -> Result<(), NetlistError> {
-        let s = build_structure(self.circuit.as_ref())?;
+        let s = build_structure(&self.circuit)?;
         let n_gates = s.topo.len();
         let n_nets = s.net_driver.len();
         let nc = self.corner_libs.len();
@@ -1753,8 +1752,7 @@ impl<'c> TimingGraph<'c> {
         // wholesale — pure arithmetic over the corner libraries, no
         // arc evaluations.
         self.vt_class.resize(n_gates, VtClass::Svt);
-        self.gate_params =
-            build_gate_params(self.circuit.as_ref(), &self.corner_libs, &self.vt_class);
+        self.gate_params = build_gate_params(&self.circuit, &self.corner_libs, &self.vt_class);
         self.out_net = s.out_net;
         self.fanin = s.fanin;
         self.fanin_off = s.fanin_off;

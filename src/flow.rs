@@ -13,9 +13,11 @@
 
 use std::collections::{HashMap, HashSet};
 
+use pops_core::bounds::delay_bounds;
 use pops_core::buffer::{plan_buffer_insertions, FlimitCache};
-use pops_core::protocol::{optimize, ProtocolOptions, Technique};
+use pops_core::protocol::ProtocolOptions;
 use pops_core::restructure::plan_demorgan_restructure;
+use pops_core::sensitivity::distribute_constraint_with;
 use pops_core::OptimizeError;
 use pops_delay::power::leakage_nw;
 use pops_delay::{CornerSet, Library};
@@ -33,8 +35,9 @@ pub struct FlowOptions {
     /// Maximum optimize/re-time rounds.
     pub max_rounds: usize,
     /// Protocol options for each path. Per-path solving always runs
-    /// structure-conserving (sizes write back one-to-one); stalled
-    /// paths escalate to netlist surgery when `apply_structure` is on.
+    /// structure-conserving (sizes write back one-to-one), so only
+    /// `sensitivity` is read; stalled paths escalate to netlist surgery
+    /// when `apply_structure` is on.
     pub protocol: ProtocolOptions,
     /// Extraction options (latch loads, input slopes).
     pub extract: ExtractOptions,
@@ -225,13 +228,11 @@ pub fn optimize_circuit(
     let initial_delay_ps = graph.critical_delay_ps();
 
     // Per-path solving conserves structure (sizes write back onto the
-    // existing gates one-to-one); stalled paths escalate to netlist
-    // surgery below instead of per-path protocol rewrites.
-    let conserve = ProtocolOptions {
-        allow_buffers: false,
-        allow_restructuring: false,
-        ..options.protocol.clone()
-    };
+    // existing gates one-to-one): the protocol's sizing-only candidate,
+    // `delay_bounds` then `distribute_constraint_with`. Stalled paths
+    // escalate to netlist surgery below instead of per-path protocol
+    // rewrites.
+    let sensitivity = &options.protocol.sensitivity;
 
     let mut paths_optimized = 0;
     let mut edits_applied = 0;
@@ -290,43 +291,44 @@ pub fn optimize_circuit(
             };
             let extracted =
                 extract_timed_path(graph.circuit(), lib, graph.sizing(), path, &options.extract);
-            let solution = match optimize(lib, &extracted.timed, budget, &conserve) {
-                Ok(outcome) => {
-                    debug_assert_eq!(outcome.technique, Technique::SizingOnly);
-                    Some(outcome.sizes)
-                }
-                Err(OptimizeError::Infeasible { .. }) => {
+            // The structure-conserving protocol step, with one bounds
+            // call serving both the feasibility test and the fallback.
+            let bounds = delay_bounds(lib, &extracted.timed);
+            let sized = if budget >= bounds.tmin_ps {
+                distribute_constraint_with(lib, &extracted.timed, budget, sensitivity).ok()
+            } else {
+                None
+            };
+            let mut sizes = match sized {
+                Some(solution) => solution.sizes,
+                None => {
                     // Sizing alone cannot make this path: remember it
                     // for the structural pass and at least push it
                     // toward its sizing Tmin meanwhile.
                     stalled.push(path.clone());
-                    let bounds = pops_core::bounds::delay_bounds(lib, &extracted.timed);
-                    Some(bounds.tmin_sizes)
+                    bounds.tmin_sizes
                 }
-                Err(e) => return Err(e.into()),
             };
-            if let Some(mut sizes) = solution {
-                // Damp per-round growth to keep the fan-in cones of the
-                // resized gates from being shocked by sudden pin loads.
-                for (s, &g) in sizes.iter_mut().zip(&extracted.gates) {
-                    let cap = round_start.cin_ff(g) * ROUND_GROWTH_CAP;
-                    *s = s.min(cap).max(lib.min_drive_ff());
-                }
-                sizes[0] = extracted.timed.source_drive_ff();
-                // One batched write-back for the whole path; nothing
-                // re-times until the next path's slack read (or the
-                // round boundary) flushes every batch since then as
-                // one merged cone.
-                let changes: Vec<(GateId, f64)> = extracted
-                    .gates
-                    .iter()
-                    .copied()
-                    .zip(sizes.iter().copied())
-                    .collect();
-                graph.resize_gates(changes);
-                paths_optimized += 1;
-                any_change = true;
+            // Damp per-round growth to keep the fan-in cones of the
+            // resized gates from being shocked by sudden pin loads.
+            for (s, &g) in sizes.iter_mut().zip(&extracted.gates) {
+                let cap = round_start.cin_ff(g) * ROUND_GROWTH_CAP;
+                *s = s.min(cap).max(lib.min_drive_ff());
             }
+            sizes[0] = extracted.timed.source_drive_ff();
+            // One batched write-back for the whole path; nothing
+            // re-times until the next path's slack read (or the round
+            // boundary) flushes every batch since then as one merged
+            // cone.
+            let changes: Vec<(GateId, f64)> = extracted
+                .gates
+                .iter()
+                .copied()
+                .zip(sizes.iter().copied())
+                .collect();
+            graph.resize_gates(changes);
+            paths_optimized += 1;
+            any_change = true;
         }
 
         // Structural write-back: when sizing stalled — paths below
