@@ -1,28 +1,28 @@
-//! In-tree source-policy linter — the static half of PR 10's audit pair
-//! (the dynamic half is `pops_sta::audit`, the shadow-access race
-//! detector).
+//! In-tree source-policy linter.
 //!
 //! Walks every `.rs` file of the workspace (no external deps, a simple
 //! line/token scanner over comment- and string-stripped source) and
 //! enforces the repo's source policy:
 //!
-//! 1. **`unsafe` confinement** — the token `unsafe` appears only in
-//!    `crates/sta/src/parallel.rs`, the one module whose safety argument
-//!    the race auditor mechanically checks.
-//! 2. **Deny headers** — every crate root (`crates/*/src/lib.rs` and the
-//!    facade `src/lib.rs`) carries `#![deny(unsafe_code)]` (or
-//!    `forbid`).
+//! 1. **No `unsafe`** — the token `unsafe` appears in no file, tests
+//!    included.
+//! 2. **Forbid headers** — every crate root (`crates/*/src/lib.rs` and
+//!    the facade `src/lib.rs`) carries `#![forbid(unsafe_code)]`;
+//!    `deny` does not pass, since a module could re-allow it.
 //! 3. **No `unwrap` in library code** — `.unwrap()` is banned outside
 //!    `#[cfg(test)]` regions and `src/bin/` CLIs; failures must travel
 //!    as typed errors (`StaError` and friends).
 //! 4. **`expect` needs a license** — `.expect(` in library code must be
 //!    listed in `crates/bench/static_audit_allow.txt` (invariant-backed
-//!    proofs like lock poisoning or builder arity).
-//! 5. **`Ordering::Relaxed` confinement** — only the `faultinject` and
-//!    `audit` arming fast paths may use relaxed atomics.
+//!    proofs like builder arity).
+//! 5. **No `Ordering::Relaxed`** — in any file: nothing in the tree
+//!    uses relaxed atomics, and a new one must argue its ordering.
 //! 6. **Float `==` confinement** — bitwise float equality is a
 //!    deliberate tool of the bit-stability modules; everywhere else it
 //!    is a bug magnet and must be allowlisted.
+//! 7. **No stale licenses** — an allowlist entry that licenses no line
+//!    of the tree is itself a violation, so the list cannot outlive the
+//!    code it was written for.
 //!
 //! Exit status 0 = clean, 1 = violations (printed one per line as
 //! `rule path:line: source`), 2 = usage/IO error. CI runs this next to
@@ -54,21 +54,25 @@ impl fmt::Display for Violation {
     }
 }
 
+/// Where the allowlist lives, relative to the repo root.
+const ALLOWLIST: &str = "crates/bench/static_audit_allow.txt";
+
 /// One allowlist entry: `rule  path-suffix  line-substring` (whitespace
 /// separated; the substring may be `*` for "any line in that file").
 struct Allow {
     rule: String,
     path_suffix: String,
     needle: String,
+    /// Line of the entry in the allowlist file (for stale reports).
+    line: usize,
+    /// The entry as written.
+    text: String,
 }
 
-fn load_allowlist(path: &Path) -> Vec<Allow> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
+fn parse_allowlist(text: &str) -> Vec<Allow> {
     let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
+    for (idx, raw) in text.lines().enumerate() {
+        let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
@@ -80,17 +84,42 @@ fn load_allowlist(path: &Path) -> Vec<Allow> {
             rule: rule.to_string(),
             path_suffix: suffix.to_string(),
             needle: parts.next().unwrap_or("*").trim().to_string(),
+            line: idx + 1,
+            text: line.to_string(),
         });
     }
     out
 }
 
-fn allowed(allows: &[Allow], rule: &str, path: &str, line_text: &str) -> bool {
-    allows.iter().any(|a| {
-        a.rule == rule
+/// Whether some entry licenses `rule` on this line; every entry that
+/// does is marked in `used`.
+fn allowed(allows: &[Allow], used: &mut [bool], rule: &str, path: &str, line_text: &str) -> bool {
+    let mut hit = false;
+    for (a, u) in allows.iter().zip(used.iter_mut()) {
+        if a.rule == rule
             && path.ends_with(&a.path_suffix)
             && (a.needle == "*" || line_text.contains(&a.needle))
-    })
+        {
+            *u = true;
+            hit = true;
+        }
+    }
+    hit
+}
+
+/// Rule 7: every allowlist entry that licensed nothing.
+fn stale_allows(allows: &[Allow], used: &[bool]) -> Vec<Violation> {
+    allows
+        .iter()
+        .zip(used)
+        .filter(|(_, &u)| !u)
+        .map(|(a, _)| Violation {
+            rule: "stale-allow",
+            path: ALLOWLIST.into(),
+            line: a.line,
+            text: a.text.clone(),
+        })
+        .collect()
 }
 
 /// Strip comments and string/char literals from Rust source, preserving
@@ -364,15 +393,77 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Library code is subject to the unwrap/expect/ordering/float rules:
+/// Library code is subject to the unwrap/expect/float rules:
 /// `src/**` of the facade and of every crate — but not `src/bin/` CLIs.
 fn is_lib_code(rel: &str) -> bool {
     let under_src = rel.starts_with("src/") || rel.contains("/src/");
     under_src && !rel.contains("/bin/")
 }
 
+fn is_crate_root(rel: &str) -> bool {
+    rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))
+}
+
+/// Rules 1–6 over one file (`rel` is its repo-relative path); marks the
+/// allowlist entries it consumes in `used`.
+fn scan_file(rel: &str, src: &str, allows: &[Allow], used: &mut [bool]) -> Vec<Violation> {
+    let mask = code_mask(src);
+    let in_test = test_region_lines(&mask);
+    let lib = is_lib_code(rel);
+    let mut violations = Vec::new();
+    // 2. `forbid` header on every crate root.
+    if is_crate_root(rel) && !mask.lines().any(|l| l.contains("#![forbid(unsafe_code)]")) {
+        violations.push(Violation {
+            rule: "forbid-header",
+            path: rel.into(),
+            line: 1,
+            text: "crate root lacks #![forbid(unsafe_code)]".into(),
+        });
+    }
+
+    let src_lines: Vec<&str> = src.lines().collect();
+    for (idx, line) in mask.lines().enumerate() {
+        let shown = src_lines.get(idx).copied().unwrap_or(line).to_string();
+        let mut flag = |rule: &'static str| {
+            violations.push(Violation {
+                rule,
+                path: rel.into(),
+                line: idx + 1,
+                text: shown.clone(),
+            })
+        };
+        // 1. and 5. apply everywhere, tests included.
+        if has_word(line, "unsafe") {
+            flag("unsafe-code");
+        }
+        if line.contains("Ordering::Relaxed") {
+            flag("relaxed-ordering");
+        }
+        if !lib || in_test[idx] {
+            continue;
+        }
+        // 3. No `.unwrap()` in library code.
+        if line.contains(".unwrap()") {
+            flag("unwrap-in-lib");
+        }
+        // 4. `.expect(` needs an allowlist license.
+        if line.contains(".expect(") && !allowed(allows, used, "expect-in-lib", rel, &shown) {
+            flag("expect-in-lib");
+        }
+        // 6. Float equality only in the bit-stability modules.
+        if has_float_eq(line) && !allowed(allows, used, "float-eq", rel, &shown) {
+            flag("float-eq");
+        }
+    }
+    violations
+}
+
 fn scan_repo(root: &Path) -> Result<Vec<Violation>, String> {
-    let allows = load_allowlist(&root.join("crates/bench/static_audit_allow.txt"));
+    let allow_path = root.join(ALLOWLIST);
+    let allow_text = fs::read_to_string(&allow_path)
+        .map_err(|e| format!("read {}: {e}", allow_path.display()))?;
+    let allows = parse_allowlist(&allow_text);
+    let mut used = vec![false; allows.len()];
     let mut files = Vec::new();
     for top in ["crates", "src", "tests", "benches", "examples"] {
         walk(&root.join(top), &mut files);
@@ -383,7 +474,7 @@ fn scan_repo(root: &Path) -> Result<Vec<Violation>, String> {
     }
 
     let mut violations = Vec::new();
-    let mut lib_roots_seen = Vec::new();
+    let mut lib_roots_seen = 0usize;
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -391,90 +482,18 @@ fn scan_repo(root: &Path) -> Result<Vec<Violation>, String> {
             .to_string_lossy()
             .replace('\\', "/");
         let src = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let mask = code_mask(&src);
-        let in_test = test_region_lines(&mask);
-        let lib = is_lib_code(&rel);
-        let is_crate_root =
-            rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"));
-        if is_crate_root {
-            lib_roots_seen.push(rel.clone());
-            let has_header = mask.lines().any(|l| {
-                l.contains("#![deny(unsafe_code)]") || l.contains("#![forbid(unsafe_code)]")
-            });
-            if !has_header {
-                violations.push(Violation {
-                    rule: "deny-header",
-                    path: rel.clone(),
-                    line: 1,
-                    text: "crate root lacks #![deny(unsafe_code)]".into(),
-                });
-            }
+        if is_crate_root(&rel) {
+            lib_roots_seen += 1;
         }
-
-        let src_lines: Vec<&str> = src.lines().collect();
-        for (idx, line) in mask.lines().enumerate() {
-            let shown = src_lines.get(idx).copied().unwrap_or(line).to_string();
-            let lineno = idx + 1;
-            // 1. `unsafe` confinement (everywhere, tests included).
-            if has_word(line, "unsafe") && rel != "crates/sta/src/parallel.rs" {
-                violations.push(Violation {
-                    rule: "unsafe-outside-parallel",
-                    path: rel.clone(),
-                    line: lineno,
-                    text: shown.clone(),
-                });
-            }
-            if !lib || in_test[idx] {
-                continue;
-            }
-            // 3. No `.unwrap()` in library code.
-            if line.contains(".unwrap()") {
-                violations.push(Violation {
-                    rule: "unwrap-in-lib",
-                    path: rel.clone(),
-                    line: lineno,
-                    text: shown.clone(),
-                });
-            }
-            // 4. `.expect(` needs an allowlist license.
-            if line.contains(".expect(") && !allowed(&allows, "expect-in-lib", &rel, &shown) {
-                violations.push(Violation {
-                    rule: "expect-in-lib",
-                    path: rel.clone(),
-                    line: lineno,
-                    text: shown.clone(),
-                });
-            }
-            // 5. Relaxed atomics only in the arming fast paths.
-            if line.contains("Ordering::Relaxed")
-                && rel != "crates/sta/src/faultinject.rs"
-                && rel != "crates/sta/src/audit.rs"
-            {
-                violations.push(Violation {
-                    rule: "relaxed-ordering",
-                    path: rel.clone(),
-                    line: lineno,
-                    text: shown.clone(),
-                });
-            }
-            // 6. Float equality only in the bit-stability modules.
-            if has_float_eq(line) && !allowed(&allows, "float-eq", &rel, &shown) {
-                violations.push(Violation {
-                    rule: "float-eq",
-                    path: rel.clone(),
-                    line: lineno,
-                    text: shown,
-                });
-            }
-        }
+        violations.extend(scan_file(&rel, &src, &allows, &mut used));
     }
-    if lib_roots_seen.len() < 2 {
+    if lib_roots_seen < 2 {
         return Err(format!(
-            "only {} crate roots found — wrong directory? (root: {})",
-            lib_roots_seen.len(),
+            "only {lib_roots_seen} crate roots found — wrong directory? (root: {})",
             root.display()
         ));
     }
+    violations.extend(stale_allows(&allows, &used));
     Ok(violations)
 }
 
@@ -557,6 +576,94 @@ fn f() {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() {}\n}\nfn c() {}\n";
         let t = test_region_lines(src);
         assert_eq!(t, [false, true, true, true, true, false]);
+    }
+
+    /// Rule names `scan_file` reports for `src` at `rel`, with the given
+    /// allowlist text.
+    fn rules(rel: &str, src: &str, allow: &str) -> Vec<&'static str> {
+        let allows = parse_allowlist(allow);
+        let mut used = vec![false; allows.len()];
+        scan_file(rel, src, &allows, &mut used)
+            .iter()
+            .map(|v| v.rule)
+            .collect()
+    }
+
+    #[test]
+    fn unsafe_is_flagged_in_every_file() {
+        let src = "fn f() {\n    unsafe { g() }\n}\n";
+        assert_eq!(rules("tests/t.rs", src, ""), ["unsafe-code"]);
+        assert_eq!(rules("crates/x/src/m.rs", src, ""), ["unsafe-code"]);
+        // Comments, strings and `unsafe_code` lint names are not tokens.
+        let benign = "// unsafe\nfn f() { let _ = \"unsafe\"; }\n";
+        assert!(rules("crates/x/src/m.rs", benign, "").is_empty());
+    }
+
+    #[test]
+    fn crate_roots_must_forbid_unsafe_code() {
+        let root = "crates/x/src/lib.rs";
+        assert!(rules(root, "#![forbid(unsafe_code)]\n", "").is_empty());
+        assert_eq!(
+            rules(root, "#![deny(unsafe_code)]\n", ""),
+            ["forbid-header"]
+        );
+        assert_eq!(rules("src/lib.rs", "pub mod a;\n", ""), ["forbid-header"]);
+        // Only crate roots need the header.
+        assert!(rules("crates/x/src/m.rs", "pub fn f() {}\n", "").is_empty());
+    }
+
+    #[test]
+    fn unwrap_is_flagged_in_library_code_only() {
+        let src = "fn f() { x.unwrap(); }\n";
+        assert_eq!(rules("crates/x/src/m.rs", src, ""), ["unwrap-in-lib"]);
+        assert!(rules("crates/x/src/bin/tool.rs", src, "").is_empty());
+        assert!(rules("tests/t.rs", src, "").is_empty());
+        let gated = "#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); }\n}\n";
+        assert!(rules("crates/x/src/m.rs", gated, "").is_empty());
+    }
+
+    #[test]
+    fn expect_needs_an_allowlist_license() {
+        let src = "fn f() { x.expect(\"proof\"); }\n";
+        assert_eq!(rules("crates/x/src/m.rs", src, ""), ["expect-in-lib"]);
+        let allow = "expect-in-lib crates/x/src/m.rs expect(\"proof\")";
+        assert!(rules("crates/x/src/m.rs", src, allow).is_empty());
+        // A license for another file does not apply.
+        assert_eq!(rules("crates/y/src/m.rs", src, allow), ["expect-in-lib"]);
+    }
+
+    #[test]
+    fn relaxed_ordering_is_flagged_in_every_file() {
+        let src = "fn f() { A.load(Ordering::Relaxed); }\n";
+        assert_eq!(rules("crates/x/src/m.rs", src, ""), ["relaxed-ordering"]);
+        assert_eq!(rules("tests/t.rs", src, ""), ["relaxed-ordering"]);
+    }
+
+    #[test]
+    fn float_eq_needs_an_allowlist_license() {
+        let src = "fn f() { if x == 0.0 {} }\n";
+        assert_eq!(rules("crates/x/src/m.rs", src, ""), ["float-eq"]);
+        let allow = "float-eq crates/x/src/m.rs *";
+        assert!(rules("crates/x/src/m.rs", src, allow).is_empty());
+    }
+
+    #[test]
+    fn stale_allowlist_entries_are_violations() {
+        let allows = parse_allowlist(
+            "# comment\n\nfloat-eq crates/x/src/m.rs *\nexpect-in-lib crates/gone.rs expect(\"x\")\n",
+        );
+        let mut used = vec![false; allows.len()];
+        scan_file(
+            "crates/x/src/m.rs",
+            "fn f() { if x == 0.0 {} }\n",
+            &allows,
+            &mut used,
+        );
+        let stale = stale_allows(&allows, &used);
+        assert_eq!(stale.len(), 1);
+        assert_eq!(stale[0].rule, "stale-allow");
+        assert_eq!(stale[0].line, 4);
+        assert!(stale[0].text.contains("crates/gone.rs"));
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub mod bounds;
 pub mod buffer;
 pub mod error;
 pub mod gradient;
-pub mod pareto;
 pub mod protocol;
 pub mod restructure;
 pub mod sensitivity;

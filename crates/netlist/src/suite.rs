@@ -244,7 +244,7 @@ pub struct ScalingClass {
     pub seed: u64,
 }
 
-/// Scaling size classes used by the `sta_scaling` bench and the parallel
+/// Scaling size classes used by the `sta_scaling` bench and the fabric
 /// differential tests. Unlike [`PROFILES`], these model no published
 /// benchmark — they exist to exercise the engine at 10k–1M gates.
 pub const SCALING_CLASSES: &[ScalingClass] = &[

@@ -150,15 +150,12 @@ pub struct FlowResult {
     /// Total subthreshold leakage of the returned implementation (nW):
     /// every gate's [`leakage_nw`] under its final width and Vt class.
     pub leakage_nw: f64,
-    /// Worker panics absorbed by the timing engines during the run
-    /// (primary graph plus the multi-corner Vt-assignment graph). Zero
-    /// unless fault injection is armed or a delay-model bug fired; each
-    /// one was contained by a sequential re-sweep, so a non-zero count
-    /// with a passing result means the recovery path did its job.
+    /// Always 0: the timing engine runs no worker pool whose panics it
+    /// could absorb. Kept so callers that read it keep compiling.
     pub panic_recoveries: usize,
-    /// Sequential full-sweep fallbacks the timing engines ran to
-    /// rebuild state after an absorbed panic or detected slab
-    /// corruption (primary graph plus the Vt-assignment graph).
+    /// Always 0: every timing-engine flush is sequential, so there is
+    /// no parallel path to fall back from. Kept so callers that read it
+    /// keep compiling.
     pub sequential_fallbacks: usize,
 }
 
@@ -393,8 +390,6 @@ pub fn optimize_circuit(
     // same incremental dirty-cone machinery as sizing.
     let mut vt_classes = vec![VtClass::Svt; best_circuit.gate_count()];
     let mut hvt_gates = 0usize;
-    let mut panic_recoveries = 0usize;
-    let mut sequential_fallbacks = 0usize;
     if options.vt_assignment {
         let corners = CornerSet::slow_typical_fast(lib.process().clone());
         let mut vt_graph = TimingGraph::with_corners(
@@ -418,18 +413,11 @@ pub fn optimize_circuit(
                 }
             }
         }
-        let vt_stats = vt_graph.stats();
-        panic_recoveries += vt_stats.panic_recoveries;
-        sequential_fallbacks += vt_stats.sequential_fallbacks;
     }
     let leakage: f64 = best_circuit
         .gate_ids()
         .map(|g| leakage_nw(lib.process(), vt_classes[g.index()], best_sizing.cin_ff(g)))
         .sum();
-
-    let stats = graph.stats();
-    panic_recoveries += stats.panic_recoveries;
-    sequential_fallbacks += stats.sequential_fallbacks;
 
     Ok(FlowResult {
         final_delay_ps: best_delay,
@@ -446,8 +434,8 @@ pub fn optimize_circuit(
         vt_classes,
         hvt_gates,
         leakage_nw: leakage,
-        panic_recoveries,
-        sequential_fallbacks,
+        panic_recoveries: 0,
+        sequential_fallbacks: 0,
     })
 }
 

@@ -1,64 +1,29 @@
-//! Fault-injection twins: the engine under deterministic self-inflicted
-//! faults must converge to the **same bits** as a clean twin.
+//! The validated mutation boundary: every `try_*` entry point of the
+//! timing engine rejects malformed input with a typed [`StaError`]
+//! **before** any state changes.
 //!
-//! The harness (`pops::sta::faultinject`) arms a seed-driven
-//! [`FaultPlan`] that panics the parallel-flush coordinator at chosen
-//! level dispatches, poisons chosen parallel gate evaluations with NaN
-//! loads, and corrupts chosen resize batches. The contracts proven here:
-//!
-//! * an absorbed worker panic or detected slab poisoning is recovered by
-//!   a sequential full re-sweep — every query still bit-matches a clean
-//!   sequential twin driven through the identical mutation burst
-//!   schedule, on all six suite circuits and the synth10k fabric at 2
-//!   and 4 threads;
+//! * under injected faults — corrupted resize batches, bad drives,
+//!   stale gate/net ids, NaN or negative constraints and malformed edit
+//!   plans, landing on settled graphs and between a mutation and its
+//!   flush — a graph keeps the **same bits** as a clean twin driven
+//!   through the identical valid mutation bursts, on all six suite
+//!   circuits and the synth10k fabric;
+//! * a corrupted mutation batch (NaN or negative drives) is rejected
+//!   atomically: typed error out, graph bit-untouched, the deep
+//!   consistency audit still passing, and the clean batch applying
+//!   normally afterwards;
+//! * the boundaries reject out-of-range ids, non-finite
+//!   drives/constraints and malformed edit plans, never by corrupting
+//!   state;
 //! * [`TimingGraph::verify_state`] (the deep-consistency audit) passes
-//!   after recovery, and `panic_recoveries` / `sequential_fallbacks`
-//!   prove the recovery path actually ran (the clean twin stays at 0);
-//! * a corrupted mutation batch is rejected **atomically** at the
-//!   `try_*` boundary: typed error out, graph bit-untouched;
-//! * the validated boundaries reject out-of-range ids, non-finite
-//!   drives/constraints and malformed edit plans with typed
-//!   [`StaError`]s, never by corrupting state.
-//!
-//! Fault injection is process-global, so every test here serializes on
-//! one lock and disarms via an RAII guard (panic-safe).
-
-use std::sync::{Mutex, MutexGuard};
+//!   on fresh, mutated, structurally edited and multi-corner graphs.
 
 use pops::netlist::rng::SplitMix64;
 use pops::netlist::surgery::{EditOp, EditPlan};
 use pops::netlist::{builders, suite, NetlistError, VtClass};
 use pops::prelude::*;
 use pops::sta::analysis::{AnalyzeOptions, EdgeDir};
-use pops::sta::faultinject::{self, FaultPlan};
 use pops::sta::{StaError, TimingGraph};
-
-/// All fault state is process-global: tests in this binary serialize on
-/// this lock so one test's armed plan never bleeds into another's graphs.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn fault_lock() -> MutexGuard<'static, ()> {
-    // A previous test panicking with the lock held poisons it; the
-    // protected state (disarmed-ness) is restored by ArmGuard's Drop,
-    // so the poison itself carries no information.
-    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Disarms fault injection when dropped, even on panic.
-struct ArmGuard;
-
-impl ArmGuard {
-    fn arm(plan: &FaultPlan) -> Self {
-        plan.arm();
-        ArmGuard
-    }
-}
-
-impl Drop for ArmGuard {
-    fn drop(&mut self) {
-        faultinject::disarm();
-    }
-}
 
 /// Every queryable value of `a` and `b` is bit-identical.
 fn assert_graphs_bit_equal(a: &TimingGraph, b: &TimingGraph, label: &str) {
@@ -116,8 +81,7 @@ fn assert_graphs_bit_equal(a: &TimingGraph, b: &TimingGraph, label: &str) {
     );
 }
 
-/// A buffer-insertion plan on a random fanout-heavy driven net (applied
-/// identically to every twin, so they evolve in lockstep).
+/// A buffer-insertion plan on a random fanout-heavy driven net.
 fn random_buffer_plan(
     graph: &TimingGraph,
     lib: &Library,
@@ -149,153 +113,236 @@ fn random_buffer_plan(
     )
 }
 
-/// The core twin driver: a clean sequential graph (built before arming,
-/// threads 1, so it never sees a fault) and forced-parallel twins at 2
-/// and 4 threads **built and mutated under an armed panic+poison plan**,
-/// all driven through identical mutation bursts with flush-forcing
-/// queries after every burst. Mid-sequence checks run armed (recovery
-/// must survive being re-faulted); the final check runs disarmed and
-/// also audits every twin with `verify_state`.
+/// A stale id handle: gate and net ids of a longer inverter chain whose
+/// indices lie past everything `circuit` can grow to within `steps`
+/// mutation bursts (each buffer insertion adds two gates and two nets).
+fn foreign_ids(circuit: &Circuit, steps: usize) -> (Vec<GateId>, Vec<NetId>) {
+    let len = circuit.net_count().max(circuit.gate_count()) + 4 * steps + 16;
+    let chain = builders::inverter_chain(len);
+    let gates: Vec<GateId> = chain.gate_ids().skip(len - 8).collect();
+    let nets: Vec<NetId> = chain.net_ids().skip(len - 8).collect();
+    (gates, nets)
+}
+
+/// Inject one corrupted mutation through a validated `try_*` entry
+/// point and assert it is rejected with the expected typed error.
+fn inject_fault(
+    graph: &mut TimingGraph,
+    lib: &Library,
+    foreign: &(Vec<GateId>, Vec<NetId>),
+    rng: &mut SplitMix64,
+    label: &str,
+) {
+    let gates: Vec<GateId> = graph.circuit().gate_ids().collect();
+    let n_gates = gates.len();
+    let stale_gate = *rng.pick(&foreign.0);
+    let stale_net = *rng.pick(&foreign.1);
+    assert!(
+        stale_gate.index() >= n_gates,
+        "{label}: stale gate id in range"
+    );
+    assert!(
+        stale_net.index() >= graph.circuit().net_count(),
+        "{label}: stale net id in range"
+    );
+    let bad_drive = *rng.pick(&[f64::NAN, f64::INFINITY, 0.0, -lib.min_drive_ff()]);
+    let cref = lib.min_drive_ff();
+    let err = match rng.below(7) {
+        0 | 1 => {
+            // Valid entries around one corrupted entry: a bad drive or
+            // a stale id, anywhere in the batch.
+            let mut batch: Vec<(GateId, f64)> = (0..2 + rng.below(6))
+                .map(|_| (*rng.pick(&gates), cref * (1.0 + 25.0 * rng.next_f64())))
+                .collect();
+            let at = rng.below(batch.len());
+            let stale = rng.below(2) == 0;
+            if stale {
+                batch[at].0 = stale_gate;
+            } else {
+                batch[at].1 = bad_drive;
+            }
+            let err = graph
+                .try_resize_gates(batch)
+                .expect_err("a corrupted batch must be rejected");
+            if stale {
+                assert!(
+                    matches!(err, StaError::GateOutOfRange { .. }),
+                    "{label}: wrong rejection {err}"
+                );
+            }
+            err
+        }
+        2 => graph
+            .try_resize_gate(*rng.pick(&gates), bad_drive)
+            .expect_err("a corrupted drive must be rejected"),
+        3 => {
+            let tc = *rng.pick(&[f64::NAN, f64::NEG_INFINITY, -250.0]);
+            let err = graph
+                .try_set_constraint(tc)
+                .expect_err("a corrupted constraint must be rejected");
+            assert!(
+                matches!(err, StaError::InvalidConstraint { .. }),
+                "{label}: wrong rejection {err}"
+            );
+            err
+        }
+        4 => {
+            let plan: EditPlan = vec![EditOp::InsertBuffer {
+                net: stale_net,
+                loads: vec![],
+                stage_cin_ff: [cref, 2.0 * cref],
+            }]
+            .into();
+            graph
+                .try_apply_edits(&plan)
+                .expect_err("a plan on a stale net must be rejected")
+        }
+        5 => {
+            // A corrupted created-stage drive on a net that exists.
+            let nets: Vec<NetId> = graph.circuit().net_ids().collect();
+            let mut stage_cin_ff = [cref, 2.0 * cref];
+            stage_cin_ff[rng.below(2)] = bad_drive;
+            let plan: EditPlan = vec![EditOp::InsertBuffer {
+                net: *rng.pick(&nets),
+                loads: vec![],
+                stage_cin_ff,
+            }]
+            .into();
+            graph
+                .try_apply_edits(&plan)
+                .expect_err("a plan with a corrupted stage must be rejected")
+        }
+        _ => {
+            let err = graph
+                .try_set_vt_class(stale_gate, VtClass::Hvt)
+                .expect_err("a stale Vt target must be rejected");
+            assert!(
+                matches!(err, StaError::GateOutOfRange { .. }),
+                "{label}: wrong rejection {err}"
+            );
+            err
+        }
+    };
+    assert!(
+        matches!(
+            err,
+            StaError::InvalidDrive { .. }
+                | StaError::GateOutOfRange { .. }
+                | StaError::InvalidConstraint { .. }
+                | StaError::InvalidEdit(_)
+        ),
+        "{label}: untyped rejection {err}"
+    );
+    assert_eq!(graph.circuit().gate_count(), n_gates, "{label}: gates grew");
+}
+
+/// The core twin driver: a clean graph and a faulted twin driven
+/// through identical random mutation bursts (resize batches, buffer
+/// surgery, constraint moves, single resizes, Vt swaps), where the
+/// faulted twin additionally takes corrupted mutations at the `try_*`
+/// boundary — injected both on a settled graph and between a mutation
+/// and its flush, while seed logs are pending. Every rejected fault must
+/// leave no trace: after each burst the forward and both backward
+/// flushes answer with the clean twin's bits, and the final state
+/// bit-matches everywhere and passes `verify_state` on both.
 fn faulted_twin_sequence(circuit: Circuit, seed: u64, steps: usize) {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let sizing = Sizing::minimum(&circuit, &lib);
     let mut clean = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-    clean.set_threads(1);
+    let mut faulted = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
     let t0 = clean.critical_delay_ps();
     clean.set_constraint(0.9 * t0);
-
-    let panics_before = faultinject::panics_fired();
-    let plan = FaultPlan::from_seed(seed);
-    let guard = ArmGuard::arm(&plan);
-
-    // Built while armed: the initial full sweep's recovery path is part
-    // of the contract.
-    let mut twins: Vec<TimingGraph> = [2usize, 4]
-        .iter()
-        .map(|&t| {
-            let mut g = TimingGraph::new(&circuit, &lib, &sizing).expect("acyclic");
-            g.set_threads(t);
-            g.set_parallel_threshold(0);
-            g.set_constraint(0.9 * t0);
-            g
-        })
-        .collect();
+    faulted
+        .try_set_constraint(0.9 * t0)
+        .expect("valid constraint");
+    let foreign = foreign_ids(&circuit, steps);
 
     let mut rng = SplitMix64::new(seed);
     let cref = lib.min_drive_ff();
     for step in 0..steps {
+        let label = format!("step {step}");
         let gates: Vec<GateId> = clean.circuit().gate_ids().collect();
-        match rng.below(6) {
+        // A fault on the settled graph (or on whatever the previous
+        // step left pending).
+        inject_fault(&mut faulted, &lib, &foreign, &mut rng, &label);
+        match rng.below(7) {
             0 => {
                 let batch: Vec<(GateId, f64)> = (0..2 + rng.below(8))
                     .map(|_| (*rng.pick(&gates), cref * (1.0 + 25.0 * rng.next_f64())))
                     .collect();
                 clean.resize_gates(batch.clone());
-                for g in &mut twins {
-                    g.resize_gates(batch.clone());
-                }
+                faulted.try_resize_gates(batch).expect("valid batch");
             }
             1 => {
                 if let Some(plan) = random_buffer_plan(&clean, &lib, &mut rng) {
                     clean.apply_edits(&plan).expect("valid edit");
-                    for g in &mut twins {
-                        g.apply_edits(&plan).expect("valid edit");
-                    }
+                    faulted.try_apply_edits(&plan).expect("valid edit");
                 }
             }
             2 => {
                 let tc = t0 * (0.7 + 0.6 * rng.next_f64());
                 clean.set_constraint(tc);
-                for g in &mut twins {
-                    g.set_constraint(tc);
-                }
+                faulted.try_set_constraint(tc).expect("valid constraint");
+            }
+            3 => {
+                let g = *rng.pick(&gates);
+                let class = *rng.pick(&[VtClass::Lvt, VtClass::Svt, VtClass::Hvt]);
+                clean.set_vt_class(g, class);
+                faulted.try_set_vt_class(g, class).expect("valid Vt swap");
             }
             _ => {
                 let g = *rng.pick(&gates);
                 let cin = cref * (1.0 + 25.0 * rng.next_f64());
                 clean.resize_gate(g, cin);
-                for t in &mut twins {
-                    t.resize_gate(g, cin);
-                }
+                faulted.try_resize_gate(g, cin).expect("valid drive");
             }
         }
-        // Force forward + both backward flushes on every twin, under
-        // fire, and pin the answers to the clean twin's bits.
-        let delay = clean.critical_delay_ps().to_bits();
-        let worst = clean.worst_slack_overall_ps().map(f64::to_bits);
-        let probe = *rng.pick(&gates);
-        let completion = clean.completion_ps(probe).to_bits();
-        for (i, g) in twins.iter().enumerate() {
-            assert_eq!(
-                g.critical_delay_ps().to_bits(),
-                delay,
-                "step {step}, twin {i}: critical delay diverged under faults"
-            );
-            assert_eq!(
-                g.worst_slack_overall_ps().map(f64::to_bits),
-                worst,
-                "step {step}, twin {i}: design-worst slack diverged under faults"
-            );
-            assert_eq!(
-                g.completion_ps(probe).to_bits(),
-                completion,
-                "step {step}, twin {i}: completion of {probe} diverged under faults"
-            );
+        // Faults between the mutation and its flush: the pending seed
+        // logs must survive the rejections untouched.
+        for _ in 0..1 + rng.below(3) {
+            inject_fault(&mut faulted, &lib, &foreign, &mut rng, &label);
         }
+        // Force forward + both backward flushes and pin the answers to
+        // the clean twin's bits.
+        let probe = *rng.pick(&gates);
+        assert_eq!(
+            faulted.critical_delay_ps().to_bits(),
+            clean.critical_delay_ps().to_bits(),
+            "{label}: critical delay diverged under faults"
+        );
+        assert_eq!(
+            faulted.worst_slack_overall_ps().map(f64::to_bits),
+            clean.worst_slack_overall_ps().map(f64::to_bits),
+            "{label}: design-worst slack diverged under faults"
+        );
+        assert_eq!(
+            faulted.completion_ps(probe).to_bits(),
+            clean.completion_ps(probe).to_bits(),
+            "{label}: completion of {probe} diverged under faults"
+        );
     }
 
-    // A final option change forces the full-rescan parallel forward
-    // sweep on every twin — the widest poison cross-section (every
-    // gate's corner lanes evaluated under the armed plan).
+    // A final option change invalidates everything and forces the full
+    // forward rescan; a fault lands while it is pending.
     let options = AnalyzeOptions {
         po_load_ff: 42.0,
         input_transition_ps: 77.0,
     };
     clean.set_options(&options);
-    let delay = clean.critical_delay_ps().to_bits();
-    let worst = clean.worst_slack_overall_ps().map(f64::to_bits);
-    for (i, g) in twins.iter_mut().enumerate() {
-        g.set_options(&options);
-        assert_eq!(
-            g.critical_delay_ps().to_bits(),
-            delay,
-            "twin {i}: critical delay diverged through the faulted full rescan"
-        );
-        assert_eq!(
-            g.worst_slack_overall_ps().map(f64::to_bits),
-            worst,
-            "twin {i}: design-worst slack diverged through the faulted full rescan"
-        );
-    }
+    faulted.set_options(&options);
+    inject_fault(&mut faulted, &lib, &foreign, &mut rng, "after options");
 
-    // The harness must actually have hurt the twins...
-    assert!(
-        faultinject::panics_fired() > panics_before,
-        "the plan never fired a panic — the schedule is broken"
-    );
-    let recoveries: usize = twins.iter().map(|g| g.stats().panic_recoveries).sum();
-    let fallbacks: usize = twins.iter().map(|g| g.stats().sequential_fallbacks).sum();
-    assert!(recoveries > 0, "no twin recorded a panic recovery");
-    assert!(
-        fallbacks >= recoveries,
-        "every recovery runs a fallback sweep"
-    );
-    // ...and the clean twin must never have been touched.
-    assert_eq!(clean.stats().panic_recoveries, 0);
-    assert_eq!(clean.stats().sequential_fallbacks, 0);
-
-    // Final audit runs disarmed: settled state, full bit sweep, deep
-    // consistency check on every graph.
-    drop(guard);
-    for (i, g) in twins.iter().enumerate() {
-        assert_graphs_bit_equal(&clean, g, &format!("final, twin {i}"));
-        g.verify_state()
-            .unwrap_or_else(|e| panic!("twin {i} failed the audit after recovery: {e}"));
-    }
+    assert_graphs_bit_equal(&clean, &faulted, "final");
+    faulted
+        .verify_state()
+        .unwrap_or_else(|e| panic!("faulted twin failed the audit: {e}"));
     clean
         .verify_state()
         .unwrap_or_else(|e| panic!("clean twin failed the audit: {e}"));
+    // No recovery path exists: rejection at the boundary is the whole
+    // mechanism, and the kept counters say so.
+    assert_eq!(faulted.stats().panic_recoveries, 0);
+    assert_eq!(faulted.stats().sequential_fallbacks, 0);
 }
 
 #[test]
@@ -330,27 +377,18 @@ fn c7552_recovers_bit_exact_under_faults() {
 
 #[test]
 fn synth10k_recovers_bit_exact_under_faults() {
-    // Wide levels: the chunked pool dispatches, full-sweep cut-overs and
-    // (with ~10k evals per sweep against a 400–2100-eval poison period)
-    // guaranteed NaN poison hits, not just coordinator panics.
-    let poisons_before = faultinject::poisons_fired();
+    // Wide levels and spread seed sets: the faults land while the
+    // drain → sweep cut-over decides over large pending logs.
     faulted_twin_sequence(suite::scaling_circuit("synth10k").unwrap(), 0xFA17_E010, 4);
-    assert!(
-        faultinject::poisons_fired() > poisons_before,
-        "a synth10k sweep must trip the eval poison at least once"
-    );
 }
 
 #[test]
 fn corrupted_batch_is_rejected_atomically() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let circuit = suite::circuit("c432").unwrap();
     let sizing = Sizing::minimum(&circuit, &lib);
     let mut graph = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
     let mut reference = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    graph.set_threads(1);
-    reference.set_threads(1);
     let t0 = graph.critical_delay_ps();
     graph.set_constraint(0.9 * t0);
     reference.set_constraint(0.9 * t0);
@@ -362,16 +400,13 @@ fn corrupted_batch_is_rejected_atomically() {
         .map(|&g| (g, 3.0 * lib.min_drive_ff()))
         .collect();
 
-    // Corrupt every batch; no panics, no poison.
-    let plan = FaultPlan {
-        seed: 7,
-        corrupt_every_batches: Some(1),
-        ..FaultPlan::default()
-    };
-    let fired_before = faultinject::corruptions_fired();
-    let guard = ArmGuard::arm(&plan);
+    // Valid entries around a NaN drive and a negative drive: the whole
+    // batch is rejected, naming the first offending value.
+    let mut corrupted = batch.clone();
+    corrupted[1].1 = f64::NAN;
+    corrupted[3].1 = -corrupted[3].1;
     let err = graph
-        .try_resize_gates(batch.clone())
+        .try_resize_gates(corrupted)
         .expect_err("a corrupted batch must be rejected");
     assert!(
         matches!(err, StaError::InvalidDrive { .. }),
@@ -381,14 +416,12 @@ fn corrupted_batch_is_rejected_atomically() {
         err.to_string().contains("NaN"),
         "error must name the value: {err}"
     );
-    assert!(faultinject::corruptions_fired() > fired_before);
-    drop(guard);
 
     // Atomicity: the graph is bit-untouched by the rejected batch...
     assert_graphs_bit_equal(&graph, &reference, "after rejected batch");
     graph.verify_state().expect("audit after rejected batch");
 
-    // ...and the identical batch applies cleanly once disarmed.
+    // ...and the clean batch applies normally.
     graph
         .try_resize_gates(batch.clone())
         .expect("clean batch applies");
@@ -398,7 +431,6 @@ fn corrupted_batch_is_rejected_atomically() {
 
 #[test]
 fn constraint_boundary_rejects_nan_and_negative() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let circuit = builders::inverter_chain(4);
     let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).unwrap();
@@ -424,7 +456,6 @@ fn constraint_boundary_rejects_nan_and_negative() {
 
 #[test]
 fn id_boundaries_reject_foreign_gates() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let small = builders::inverter_chain(3);
     let mut graph = TimingGraph::new(&small, &lib, &Sizing::minimum(&small, &lib)).unwrap();
@@ -468,7 +499,6 @@ fn id_boundaries_reject_foreign_gates() {
 
 #[test]
 fn edit_plan_boundary_rejects_malformed_plans() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let small = builders::inverter_chain(3);
     let mut graph = TimingGraph::new(&small, &lib, &Sizing::minimum(&small, &lib)).unwrap();
@@ -506,7 +536,6 @@ fn edit_plan_boundary_rejects_malformed_plans() {
 
 #[test]
 fn sizing_extend_dense_boundary() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let chain2 = builders::inverter_chain(2);
     let chain4 = builders::inverter_chain(4);
@@ -544,7 +573,6 @@ fn sizing_extend_dense_boundary() {
 
 #[test]
 fn verify_state_passes_on_live_graphs() {
-    let _lock = fault_lock();
     let lib = Library::cmos025();
     let circuit = suite::circuit("c880").unwrap();
     let sizing = Sizing::minimum(&circuit, &lib);
