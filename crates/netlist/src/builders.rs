@@ -13,7 +13,7 @@ use crate::rng::SplitMix64;
 /// Build a chain of `n` inverters: `in -> inv -> inv -> ... -> out`.
 ///
 /// The canonical tapered-buffer optimization testbed (Mead & Rem, ref.
-/// [15] of the paper).
+/// \[15\] of the paper).
 ///
 /// # Panics
 ///

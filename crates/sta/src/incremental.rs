@@ -74,7 +74,7 @@
 //!
 //! N resizes followed by one slack read pay **one** merged backward
 //! propagation instead of N eager ones; the seeds deduplicate in the
-//! rank bitsets, and the bitwise convergence cut still confines the
+//! dirty sets, and the bitwise convergence cut still confines the
 //! flush to the union cone.
 //!
 //! The **forward** state is lazy under the same generation counter.
@@ -83,65 +83,69 @@
 //! the first *forward* query (`critical_delay_ps`, `arrival_ps`,
 //! `slope_ps`, `net_load_ff`, `gate_delay_worst_ps`, `critical_path`,
 //! `path_to`, and every [`TimingView`] read) materializes them into the
-//! rank bitset and drains one merged forward cone, with the same
-//! budgeted cut-over to a straight full topo sweep when the cone
-//! saturates. Backward queries are **two-phase**: they flush forward
-//! first (required times and completion bounds re-derive from final
-//! slopes, loads and worst delays), then drain the backward seeds the
-//! forward flush just deposited. The eager/lazy distinction is
-//! invisible to every consumer — `tests/lazy_equivalence.rs` and
+//! forward dirty set and drains one merged forward cone. Backward
+//! queries are **two-phase**: they flush forward first (required times
+//! and completion bounds re-derive from final slopes, loads and worst
+//! delays), then drain the backward seeds the forward flush just
+//! deposited. The eager/lazy distinction is invisible to every
+//! consumer — `tests/lazy_equivalence.rs` and
 //! `tests/forward_lazy_equivalence.rs` prove any interleaving of
 //! mutations and queries bit-identical to the eager semantics, and
 //! [`UpdateStats::forward_flushes`] / [`UpdateStats::backward_flushes`]
 //! prove mutations alone never flush either direction.
 //!
+//! # Drain or sweep
+//!
+//! Each flush holds its dirty gates in a bitset over topo positions
+//! and has two schedules. The **drain** pops them in rank order
+//! (ascending forward, descending backward) and marks a gate's
+//! neighbours only when its output moved. The **sweep** evaluates every
+//! gate once, front to back or back to front. One rule picks between
+//! them: the seed count against a budget of ¾ of the gates forward and
+//! ⅓ backward ([`TimingGraph::set_sweep_budgets`]). The backward drains
+//! also bail to the sweep once their evaluations reach the budget. Both
+//! schedules run the same kernels, so the rule decides cost, never bits.
+//!
 //! # The worst-slack tournament tree
 //!
-//! `worst_slack_overall_ps` used to fold over all nets per query —
-//! O(nets) even when nothing moved, which is exactly what broke even on
-//! the small-circuit probes. The backward flush already knows every net
-//! whose required time or arrival moved, so the graph maintains a
-//! [`WorstSlackIndex`]: per-net worst finite slacks at the leaves of a
-//! tournament tree of partial minima. Each moved slack is an O(log
-//! nets) leaf update folded in at flush time; the design-worst slack
-//! query is then O(1) at the root, bit-identical to the full fold.
+//! The design-worst slack would be an O(nets) fold per query. The
+//! backward flush already knows every net whose required time or
+//! arrival moved, so the graph maintains a tournament tree
+//! (`WorstSlackIndex`): per-net worst finite slacks at the leaves,
+//! partial minima above. Each moved slack is an O(log nets) leaf update
+//! folded in at flush time; the design-worst slack query is then O(1)
+//! at the root, bit-identical to the full fold.
 //!
 //! # Rank-major slabs
 //!
-//! At 100k–1M gates the budgeted full sweeps are memory-bound, so the
+//! At 100k–1M gates the full sweeps are memory-bound, so the
 //! floating-point state lives in **rank-major struct-of-arrays slabs**
-//! instead of id-keyed records. The cached topo order is *level-major*:
-//! gates are counting-sorted by logic level (stable by topo order
-//! within a level), `rank[g]` is the gate's position in that order and
-//! `level_start[l] .. level_start[l+1]` delimits level `l`. A
-//! level-major order is still a topological order, so every ascending /
-//! descending bitset cursor works unchanged, and the level boundaries
-//! give the adaptive sweep cut-over its seed profile. Net state is
-//! indexed by **slot**: the driverless nets (primary inputs and any
-//! undriven nets) occupy slots `0..n_src` in net-id order, and the net
-//! driven by the gate at position `p` occupies slot `n_src + p` — a
-//! full sweep therefore *streams* the arrival/slope/pred/load/required
-//! slabs in memory order instead of pointer-chasing the netlist.
+//! instead of id-keyed records. `topo` is the circuit's topological
+//! order ([`Circuit::topo_order`]) and `rank[g]` the gate's position in
+//! it. Net state is indexed by **slot**: the driverless nets (primary
+//! inputs and any undriven nets) occupy slots `0..n_src` in net-id
+//! order, and the net driven by the gate at position `p` occupies slot
+//! `n_src + p` — a full sweep therefore *streams* the
+//! arrival/slope/pred/load/required slabs in memory order instead of
+//! pointer-chasing the netlist.
 //!
 //! Every flush is sequential: the drains and the sweeps run the same
-//! per-gate kernels ([`crate::kernel`]) on one thread, so a drain and a
+//! per-gate kernels (`crate::kernel`) on one thread, so a drain and a
 //! sweep of the same dirty state land on the same bits by construction
 //! (`tests/parallel_flush_equivalence.rs` checks both against the eager
 //! oracles on the suite circuits and the synthetic fabrics).
 
 use std::cell::{Cell, Ref, RefCell};
 
-use pops_delay::model::{gate_delay_with_output_edge_vt, Edge};
+use pops_delay::model::Edge;
 use pops_delay::{CornerSet, Library, VtTiming};
 use pops_netlist::surgery::{AppliedEdit, EditPlan};
 use pops_netlist::{CellKind, Circuit, GateId, NetId, NetlistError, VtClass};
 
-use crate::analysis::{
-    compatible_input_edges, eidx, AnalyzeOptions, EdgeDir, NetlistPath, TimingView, EDGES,
-};
+use crate::analysis::{eidx, AnalyzeOptions, EdgeDir, NetlistPath, TimingView, EDGES};
 use crate::error::StaError;
 use crate::kernel::{
-    range_any, BwdView, EvalCtx, FwdView, PredPair, F_ARRIVAL, F_DELAY, F_OUT_CHANGED, F_SLOPE,
+    BwdView, EvalCtx, FwdView, PredPair, F_ARRIVAL, F_DELAY, F_OUT_CHANGED, F_SLOPE,
 };
 use crate::sizing::Sizing;
 use crate::slack::{min2, SlackReport, SlackView, WorstSlackIndex};
@@ -179,16 +183,6 @@ pub struct UpdateStats {
     /// Worst-slack tournament-tree leaf refreshes folded in by flushes
     /// (each O(log nets); a wholesale refold counts one per net).
     pub slack_index_updates: usize,
-    /// [`TimingGraph::net_load_ff`] queries answered by the loads-only
-    /// settle while forward seeds were pending — no arc evaluation, no
-    /// flush (loads derive from fanout pins, sizing and options, all of
-    /// which mutators keep current eagerly).
-    pub load_only_settles: usize,
-    /// [`TimingGraph::gate_delay_worst_ps`] queries answered by the
-    /// O(fanins) flushless settle while only resize seeds were pending
-    /// — the whole merged forward union stays unflushed (the K=1 probe
-    /// fast path).
-    pub gate_delay_settles: usize,
     /// Always 0. Kept so callers that read it keep compiling; the
     /// engine has no worker pool whose panics it could recover from.
     pub panic_recoveries: usize,
@@ -206,7 +200,7 @@ pub struct UpdateStats {
 /// arc evaluations, so the graph caches the resolved constants per gate
 /// and corner. Every cached value is produced by the *same*
 /// floating-point expression the model uses, so arc delays stay
-/// bit-identical to [`gate_delay_with_output_edge_vt`] — and, for SVT
+/// bit-identical to [`pops_delay::model::gate_delay_with_output_edge_vt`] — and, for SVT
 /// gates on the typical corner, to the plain single-corner model (the
 /// `× 1.0` Vt factors are bit-neutral).
 #[derive(Debug, Clone, Copy)]
@@ -306,16 +300,10 @@ pub struct TimingGraph<'c> {
     options: AnalyzeOptions,
     sizing: Sizing,
 
-    /// Gates in the cached topological order. The order is
-    /// **level-major**: counting-sorted by logic level, stable by the
-    /// circuit's base topo order within a level — still a topological
-    /// order, but with every level contiguous.
+    /// Gates in the circuit's cached topological order.
     topo: Vec<GateId>,
     /// `rank[gate] = position in `topo`` — the propagation priority.
     rank: Vec<u32>,
-    /// Positions `level_start[l] .. level_start[l+1]` form logic level
-    /// `l` (0-based here; the netlist's levels are 1-based).
-    level_start: Vec<u32>,
     /// Slab slot of each net's timing state: driverless nets take slots
     /// `0..n_src` in net-id order, the net driven by the gate at
     /// position `p` takes slot `n_src + p`.
@@ -370,8 +358,8 @@ pub struct TimingGraph<'c> {
     /// dirty(gen) → flushed cycle in both directions.
     gen: u64,
     /// Forward sweep cut-over budget as a rational fraction
-    /// `(num, den)` of the gate count: the flush abandons the drain for
-    /// a full sweep once `dirty_count >= n·num/den + 1`.
+    /// `(num, den)` of the gate count: the flush runs a full sweep
+    /// instead of the drain once `n·num/den + 1` gates are dirty.
     fwd_budget: (u32, u32),
     /// Backward (required/completion) sweep cut-over budget, same
     /// encoding.
@@ -417,17 +405,12 @@ struct ForwardState {
     /// Worst primary output `(net, edge)` per corner (corner-indexed).
     critical_net: Vec<Option<(NetId, Edge)>>,
 
-    /// Dirty set as a bitset over topo *ranks* (bit `r` of word `r/64`).
-    /// Populated only *inside* a flush (mutators append to the id-keyed
-    /// seed logs instead, so graph surgery can re-rank freely without
-    /// orphaning pending marks) and walked with a forward cursor +
-    /// `trailing_zeros` — marks always target strictly higher ranks, so
-    /// no priority queue is needed to process gates in rank order.
-    dirty_bits: Vec<u64>,
-    /// Dirty gates not yet re-evaluated.
-    dirty_count: usize,
-    /// Lowest rank marked since the last drain.
-    min_dirty_rank: u32,
+    /// Dirty gates by topo rank. Populated only *inside* a flush
+    /// (mutators append to the id-keyed seed logs instead, so graph
+    /// surgery can re-rank freely without orphaning pending marks) and
+    /// drained lowest rank first — marks always target strictly higher
+    /// ranks, so no priority queue is needed.
+    dirty: DirtySet,
 
     /// Generation ([`TimingGraph::gen`]) the forward state last flushed
     /// at; a mismatch means seeds are pending and the next forward
@@ -462,6 +445,107 @@ struct ForwardState {
     reslope_pis: bool,
 }
 
+/// A dirty set over topo ranks: a bitset plus its member count and the
+/// word range that holds every member, so a drain pops members in rank
+/// order without a priority queue and without scanning from either end.
+#[derive(Debug, Clone)]
+struct DirtySet {
+    bits: Vec<u64>,
+    count: usize,
+    /// Every member lies in words `lo..=hi` (stale but still true
+    /// bounds once pops empty the set).
+    lo: usize,
+    hi: usize,
+}
+
+impl DirtySet {
+    fn new(n: usize) -> Self {
+        DirtySet {
+            bits: vec![0; n.div_ceil(64)],
+            count: 0,
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.count
+    }
+
+    fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    fn insert(&mut self, i: usize) {
+        let (w, mask) = (i / 64, 1u64 << (i % 64));
+        if self.bits[w] & mask == 0 {
+            self.bits[w] |= mask;
+            self.count += 1;
+            self.lo = self.lo.min(w);
+            self.hi = self.hi.max(w);
+        }
+    }
+
+    /// Remove and return the lowest member.
+    fn pop_lowest(&mut self) -> Option<usize> {
+        if self.count == 0 {
+            return None;
+        }
+        while self.bits[self.lo] == 0 {
+            self.lo += 1;
+        }
+        let bit = self.bits[self.lo].trailing_zeros() as usize;
+        self.bits[self.lo] &= !(1u64 << bit);
+        self.count -= 1;
+        Some(self.lo * 64 + bit)
+    }
+
+    /// Remove and return the highest member.
+    fn pop_highest(&mut self) -> Option<usize> {
+        if self.count == 0 {
+            return None;
+        }
+        while self.bits[self.hi] == 0 {
+            self.hi -= 1;
+        }
+        let bit = 63 - self.bits[self.hi].leading_zeros() as usize;
+        self.bits[self.hi] &= !(1u64 << bit);
+        self.count -= 1;
+        Some(self.hi * 64 + bit)
+    }
+
+    /// Make `0..n` the members.
+    fn fill(&mut self, n: usize) {
+        self.clear();
+        let (full, rest) = (n / 64, n % 64);
+        self.bits[..full].fill(u64::MAX);
+        if rest > 0 {
+            self.bits[full] = (1u64 << rest) - 1;
+        }
+        self.count = n;
+        self.lo = 0;
+        self.hi = n.saturating_sub(1) / 64;
+    }
+
+    fn clear(&mut self) {
+        self.bits.fill(0);
+        self.count = 0;
+    }
+
+    /// The audit's check: the maintained count matches the popcount.
+    fn check(&self, name: &str) -> Result<(), String> {
+        let pop: usize = self.bits.iter().map(|w| w.count_ones() as usize).sum();
+        if pop == self.count {
+            Ok(())
+        } else {
+            Err(format!(
+                "{name} dirty set holds {pop} bits but counts {}",
+                self.count
+            ))
+        }
+    }
+}
+
 /// The circuit-derived arrays of a [`TimingGraph`]: topology, adjacency
 /// and flattened model constants — everything except the floating-point
 /// timing state. Rebuilt wholesale by [`TimingGraph::apply_edits`]
@@ -471,7 +555,6 @@ struct ForwardState {
 struct Structure {
     topo: Vec<GateId>,
     rank: Vec<u32>,
-    level_start: Vec<u32>,
     slot_of: Vec<u32>,
     n_src: usize,
     net_driver: Vec<Option<GateId>>,
@@ -488,36 +571,11 @@ struct Structure {
 }
 
 fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
-    // Level-major topo order: counting-sort the base topo order by
-    // logic level (stable within a level). Every fanin of a gate sits
-    // at a strictly lower level, so this is still a topological order —
-    // the ascending/descending cursor drains work unchanged — and each
-    // level is a contiguous run of mutually independent gates.
-    let base_topo = circuit.topo_order()?;
-    let levels = circuit.logic_levels()?;
-    let n_gates = circuit.gate_count();
-    let n_levels = levels.iter().copied().max().unwrap_or(0);
-    let mut level_start = vec![0u32; n_levels + 1];
-    for &g in &base_topo {
-        level_start[levels[g.index()]] += 1;
+    let topo = circuit.topo_order()?;
+    let mut rank = vec![0u32; topo.len()];
+    for (pos, &g) in topo.iter().enumerate() {
+        rank[g.index()] = pos as u32;
     }
-    for l in 1..level_start.len() {
-        level_start[l] += level_start[l - 1];
-    }
-    debug_assert_eq!(level_start[n_levels] as usize, n_gates);
-    // `cursor[l]` = next free position of 1-based level `l + 1`;
-    // `level_start` is already the prefix-summed offset table.
-    let mut cursor: Vec<u32> = level_start[..n_levels].to_vec();
-    let mut topo = base_topo.clone();
-    let mut rank = vec![0u32; n_gates];
-    for &g in &base_topo {
-        let l = levels[g.index()] - 1;
-        let r = cursor[l];
-        cursor[l] += 1;
-        topo[r as usize] = g;
-        rank[g.index()] = r;
-    }
-
     let n_nets = circuit.net_count();
     let net_driver: Vec<Option<GateId>> =
         circuit.net_ids().map(|n| circuit.driver_gate(n)).collect();
@@ -538,7 +596,7 @@ fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
             slot_of[i] = (n_src + rank[g.index()] as usize) as u32;
         }
     }
-    debug_assert_eq!(n_src + n_gates, n_nets, "slots must cover every net");
+    debug_assert_eq!(n_src + topo.len(), n_nets, "slots must cover every net");
 
     // Flatten the netlist adjacency into contiguous arrays: the cone
     // walk is memory-bound, and per-gate/per-net `Vec`s would cost a
@@ -567,7 +625,6 @@ fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
     Ok(Structure {
         topo,
         rank,
-        level_start,
         slot_of,
         n_src,
         net_driver,
@@ -591,7 +648,7 @@ fn build_structure(circuit: &Circuit) -> Result<Structure, NetlistError> {
 /// pair under one corner's library. This is the single home of the
 /// constant-folding arithmetic: `tau_s` caches `(τ·S) · drive_factor`
 /// in the exact association order of
-/// [`gate_delay_with_output_edge_vt`]'s
+/// [`pops_delay::model::gate_delay_with_output_edge_vt`]'s
 /// `process.tau_ps * s * drive_factor * C_L / C_IN`, and `vt` caches
 /// `v_T · vt_scale` — so for an SVT gate (both factors `1.0`,
 /// bit-neutral) the constants reproduce the plain single-corner model
@@ -673,6 +730,16 @@ fn remap_ranks<T: Copy>(
     out
 }
 
+/// Add a driverless net to the backward sink list, deduplicated by its
+/// net-id bit.
+fn mark_pi(pi_bits: &mut [u64], pi_dirty: &mut Vec<NetId>, net: NetId) {
+    let (w, mask) = (net.index() / 64, 1u64 << (net.index() % 64));
+    if pi_bits[w] & mask == 0 {
+        pi_bits[w] |= mask;
+        pi_dirty.push(net);
+    }
+}
+
 /// Incrementally maintained backward timing state (see the module
 /// docs): per-net required times under a fixed constraint plus the
 /// per-gate frozen-weight k-paths completion bounds, both kept
@@ -687,24 +754,17 @@ struct BackwardState {
     /// bound; `-inf` off every PI→PO path).
     completion: Vec<f64>,
 
-    /// Required-dirty set over the topo ranks of net *drivers* (each
-    /// gate drives exactly one net, so driven nets map 1:1 onto ranks).
-    /// Walked with a descending cursor + `leading_zeros`: backward
-    /// marks always target strictly lower ranks.
-    req_bits: Vec<u64>,
-    req_count: usize,
-    /// Highest rank marked since the last backward propagation.
-    req_max_rank: u32,
-    /// Required-dirty primary-input nets: sinks of the backward walk
-    /// (no driver to propagate through), evaluated after the rank loop
-    /// drains. The bitset dedupes, the vec preserves O(dirty) drain.
+    /// Required-dirty driven nets, keyed by their driver's topo rank
+    /// (each gate drives exactly one net). Drained highest rank first:
+    /// backward marks always target strictly lower ranks.
+    req: DirtySet,
+    /// Required-dirty driverless nets: sinks of the backward walk (no
+    /// driver to propagate through), evaluated after `req` drains. The
+    /// net-id bitset dedupes, the vec preserves O(dirty) drain.
     pi_bits: Vec<u64>,
     pi_dirty: Vec<NetId>,
-
-    /// Completion-dirty set over topo ranks, same walk as `req_bits`.
-    comp_bits: Vec<u64>,
-    comp_count: usize,
-    comp_max_rank: u32,
+    /// Completion-dirty gates by topo rank, drained as `req`.
+    comp: DirtySet,
 
     /// Generation ([`TimingGraph::gen`]) the required-time state (and
     /// the worst-slack index) last flushed at; a mismatch means seeds
@@ -819,7 +879,6 @@ impl<'c> TimingGraph<'c> {
             sizing: sizing.clone(),
             topo: s.topo,
             rank: s.rank,
-            level_start: s.level_start,
             slot_of: s.slot_of,
             n_src: s.n_src,
             net_driver: s.net_driver,
@@ -846,9 +905,7 @@ impl<'c> TimingGraph<'c> {
                 load: vec![0.0; n_nets],
                 gate_delay_worst: vec![0.0f64; n_gates * nc],
                 critical_net: vec![None; nc],
-                dirty_bits: vec![0u64; n_gates.div_ceil(64)],
-                dirty_count: 0,
-                min_dirty_rank: u32::MAX,
+                dirty: DirtySet::new(n_gates),
                 flushed_gen: 0,
                 resized_log: Vec::new(),
                 gate_log: Vec::new(),
@@ -918,11 +975,11 @@ impl<'c> TimingGraph<'c> {
     ///   `0..n_src` in net-id order, the net driven by the gate at topo
     ///   position `p` occupies slot `n_src + p`, and `rank` inverts the
     ///   topo order;
-    /// * **level monotonicity** — `level_start` partitions the topo
-    ///   positions and every gate's fanin drivers sit in strictly lower
-    ///   levels (what makes the level-major order a topological one);
-    /// * **dirty-bitset vs generation agreement** — bitset popcounts
-    ///   bit-match the maintained counts, and state flushed to the
+    /// * **topological order** — every gate's fanin drivers sit at
+    ///   strictly lower topo positions (what every drain, sweep and
+    ///   slab slot relies on);
+    /// * **dirty-set vs generation agreement** — every dirty set's
+    ///   popcount matches its maintained count, and state flushed to the
     ///   current mutation generation holds no pending marks, seed-log
     ///   entries or rescan flags;
     /// * **worst-slack tree agreement** — every leaf bit-matches an
@@ -944,7 +1001,6 @@ impl<'c> TimingGraph<'c> {
         let corrupt = |detail: String| Err(StaError::StateCorrupt { detail });
 
         let n_nets = self.slot_of.len();
-        let n_gates = self.topo.len();
         let nc = self.corner_libs.len();
 
         // Slot/rank bijection.
@@ -998,31 +1054,15 @@ impl<'c> TimingGraph<'c> {
             }
         }
 
-        // Level monotonicity.
-        if self.level_start.first() != Some(&0)
-            || self.level_start.last() != Some(&(n_gates as u32))
-            || self.level_start.windows(2).any(|w| w[0] >= w[1])
-        {
-            return corrupt(format!(
-                "level_start {:?} is not a strictly increasing partition of {n_gates} positions",
-                self.level_start
-            ));
-        }
-        for pos in 0..n_gates {
-            let gate = self.topo[pos];
-            let level = self.level_of(pos as u32);
-            let (lo, hi) = (
-                self.fanin_off[gate.index()] as usize,
-                self.fanin_off[gate.index() + 1] as usize,
-            );
-            for &in_net in &self.fanin[lo..hi] {
+        // Topological order.
+        for (pos, &gate) in self.topo.iter().enumerate() {
+            for &in_net in self.fanin_nets(gate) {
                 if let Some(driver) = self.net_driver[in_net.index()] {
                     let dpos = self.rank[driver.index()] as usize;
-                    if dpos >= pos || self.level_of(dpos as u32) >= level {
+                    if dpos >= pos {
                         return corrupt(format!(
-                            "gate at position {pos} (level {level}) has a fanin driver at \
-                             position {dpos} (level {}) — not strictly lower",
-                            self.level_of(dpos as u32)
+                            "gate at position {pos} has a fanin driver at position {dpos} — \
+                             not strictly lower"
                         ));
                     }
                 }
@@ -1034,20 +1074,14 @@ impl<'c> TimingGraph<'c> {
         // Dirty bookkeeping vs generation agreement. The flushes above
         // settled everything to the current generation, so every mark,
         // seed log and rescan flag must now be clear.
-        let pop: usize = fwd.dirty_bits.iter().map(|w| w.count_ones() as usize).sum();
-        if pop != fwd.dirty_count {
-            return corrupt(format!(
-                "forward dirty popcount {pop} != dirty_count {}",
-                fwd.dirty_count
-            ));
-        }
+        fwd.dirty.check("forward").or_else(corrupt)?;
         if fwd.flushed_gen != self.gen {
             return corrupt(format!(
                 "forward state at generation {} behind mutation generation {} after a flush",
                 fwd.flushed_gen, self.gen
             ));
         }
-        if fwd.dirty_count != 0
+        if !fwd.dirty.is_empty()
             || !fwd.resized_log.is_empty()
             || !fwd.gate_log.is_empty()
             || fwd.scan_loads
@@ -1057,7 +1091,7 @@ impl<'c> TimingGraph<'c> {
             return corrupt(format!(
                 "flushed forward state still dirty: {} marks, {} resize seeds, {} gate seeds, \
                  flags {}/{}/{}",
-                fwd.dirty_count,
+                fwd.dirty.len(),
                 fwd.resized_log.len(),
                 fwd.gate_log.len(),
                 fwd.scan_loads,
@@ -1108,15 +1142,12 @@ impl<'c> TimingGraph<'c> {
 
         let guard = self.backward.borrow();
         if let Some(bw) = guard.as_ref() {
-            let req_pop: usize = bw.req_bits.iter().map(|w| w.count_ones() as usize).sum();
-            let comp_pop: usize = bw.comp_bits.iter().map(|w| w.count_ones() as usize).sum();
+            bw.req.check("required").or_else(corrupt)?;
+            bw.comp.check("completion").or_else(corrupt)?;
             let pi_pop: usize = bw.pi_bits.iter().map(|w| w.count_ones() as usize).sum();
-            if req_pop != bw.req_count || comp_pop != bw.comp_count || pi_pop != bw.pi_dirty.len() {
+            if pi_pop != bw.pi_dirty.len() {
                 return corrupt(format!(
-                    "backward dirty popcounts {req_pop}/{comp_pop}/{pi_pop} disagree with \
-                     counts {}/{}/{}",
-                    bw.req_count,
-                    bw.comp_count,
+                    "driverless-net dirty bitset holds {pi_pop} bits but lists {}",
                     bw.pi_dirty.len()
                 ));
             }
@@ -1127,8 +1158,8 @@ impl<'c> TimingGraph<'c> {
                     bw.req_flushed_gen, bw.comp_flushed_gen, self.gen
                 ));
             }
-            if bw.req_count != 0
-                || bw.comp_count != 0
+            if !bw.req.is_empty()
+                || !bw.comp.is_empty()
                 || !bw.pi_dirty.is_empty()
                 || !bw.resized_log.is_empty()
                 || !bw.req_net_log.is_empty()
@@ -1139,8 +1170,8 @@ impl<'c> TimingGraph<'c> {
                 return corrupt(format!(
                     "flushed backward state still dirty: {}/{} marks, {} PI sinks, \
                      {}+{}+{}+{} seeds, refold_all {}",
-                    bw.req_count,
-                    bw.comp_count,
+                    bw.req.len(),
+                    bw.comp.len(),
                     bw.pi_dirty.len(),
                     bw.resized_log.len(),
                     bw.req_net_log.len(),
@@ -1272,13 +1303,6 @@ impl<'c> TimingGraph<'c> {
     /// The Vt variant a gate is currently implemented in.
     pub fn vt_class(&self, gate: GateId) -> VtClass {
         self.vt_class[gate.index()]
-    }
-
-    /// 0-based level of a topo position (`level_start` is sorted; empty
-    /// levels cannot occur, but repeated starts would resolve correctly
-    /// anyway).
-    fn level_of(&self, pos: u32) -> usize {
-        self.level_start.partition_point(|&s| s <= pos) - 1
     }
 
     /// Set one gate's input capacitance. The affected cone — the gate
@@ -1554,22 +1578,21 @@ impl<'c> TimingGraph<'c> {
         );
 
         // Pending lazy seeds live in the id-keyed logs, which survive
-        // append-only surgery untouched. The rank-keyed backward
-        // bitsets are populated outside a flush only by a wholesale
+        // append-only surgery untouched. The rank-keyed backward dirty
+        // sets are populated outside a flush only by a wholesale
         // invalidation (constraint/option change with no query since):
         // remember that and re-invalidate under the new ranks below.
         let (req_invalidated, comp_invalidated) = match self.backward.get_mut().as_ref() {
-            Some(bw) => (bw.req_count > 0, bw.comp_count > 0),
+            Some(bw) => (!bw.req.is_empty(), !bw.comp.is_empty()),
             None => (false, false),
         };
 
-        // Surgery re-levels and re-ranks arbitrarily, and the slabs are
+        // Surgery re-ranks arbitrarily, and the slabs are
         // keyed by slot/position — keep the old keys to permute the
         // surviving state into the new layout below.
         let old_slot_of = std::mem::replace(&mut self.slot_of, s.slot_of);
         let old_rank = std::mem::replace(&mut self.rank, s.rank);
         self.topo = s.topo;
-        self.level_start = s.level_start;
         self.n_src = s.n_src;
         self.net_driver = s.net_driver;
         self.cell = s.cell;
@@ -1593,13 +1616,13 @@ impl<'c> TimingGraph<'c> {
         // Per-gate / per-net timing state: existing entries keep their
         // values (they are still bit-correct wherever the edits did not
         // reach) — permuted into the new slot/rank layout — and new ids
-        // get neutral initial state. The forward dirty bitset is
+        // get neutral initial state. The forward dirty set is
         // populated only inside a flush and every flush drains it
         // before returning, so re-ranking cannot orphan a pending mark;
         // the id-keyed seed logs survive as they are.
         {
             let fwd = self.fwd.get_mut();
-            debug_assert_eq!(fwd.dirty_count, 0, "surgery over a drained queue");
+            debug_assert!(fwd.dirty.is_empty(), "surgery over a drained queue");
             fwd.arrival = remap_slots(
                 &fwd.arrival,
                 &old_slot_of,
@@ -1612,8 +1635,7 @@ impl<'c> TimingGraph<'c> {
             fwd.load = remap_slots(&fwd.load, &old_slot_of, &self.slot_of, 0.0, 1);
             fwd.gate_delay_worst =
                 remap_ranks(&fwd.gate_delay_worst, &old_rank, &self.rank, 0.0, nc);
-            fwd.dirty_bits = vec![0u64; n_gates.div_ceil(64)];
-            fwd.min_dirty_rank = u32::MAX;
+            fwd.dirty = DirtySet::new(n_gates);
             // Load deltas are detected lazily: the cached loads are
             // still the pre-edit values, so the flush recompares every
             // net under the edited structure and seeds the drivers of
@@ -1648,16 +1670,11 @@ impl<'c> TimingGraph<'c> {
                 );
                 bw.completion =
                     remap_ranks(&bw.completion, &old_rank, new_rank, f64::NEG_INFINITY, nc);
-                // Rank-keyed bitsets restart empty at the new gate
-                // count; a pending invalidation re-marks everything
-                // under the new ranks. The id-keyed seed logs survive
-                // as they are.
-                bw.req_bits = vec![0u64; n_gates.div_ceil(64)];
-                bw.req_count = 0;
-                bw.req_max_rank = 0;
-                bw.comp_bits = vec![0u64; n_gates.div_ceil(64)];
-                bw.comp_count = 0;
-                bw.comp_max_rank = 0;
+                // The dirty sets restart empty at the new sizes; a
+                // pending invalidation re-marks everything under the
+                // new ranks. The id-keyed seed logs survive as they are.
+                bw.req = DirtySet::new(n_gates);
+                bw.comp = DirtySet::new(n_gates);
                 bw.pi_bits = vec![0u64; n_nets.div_ceil(64)];
                 bw.pi_dirty.clear();
                 if req_invalidated {
@@ -1739,6 +1756,7 @@ impl<'c> TimingGraph<'c> {
     ///
     /// Panics if `corner >= n_corners()`.
     pub fn critical_delay_ps_corner(&self, corner: usize) -> f64 {
+        assert!(corner < self.corner_libs.len(), "corner out of range");
         self.flush_forward();
         let nc = self.corner_libs.len();
         let fwd = self.fwd.borrow();
@@ -1784,78 +1802,18 @@ impl<'c> TimingGraph<'c> {
 
     /// Capacitive load on a net (fF) under the current sizing, including
     /// the primary-output latch load where applicable.
-    ///
-    /// Loads derive from fanout pins, sizing and options — all of which
-    /// the mutators keep eagerly current — so this query never pays the
-    /// arc flush: with the forward state settled it reads the slab, and
-    /// with seeds pending it sums the load fresh (same pin order and
-    /// summation as the flush) *without* storing it — the cached value
-    /// must stay the pre-mutation baseline the flush-time load scans
-    /// compare against. [`UpdateStats::load_only_settles`] counts the
-    /// latter path.
     pub fn net_load_ff(&self, net: NetId) -> f64 {
-        {
-            let fwd = self.fwd.borrow();
-            if fwd.flushed_gen == self.gen {
-                return fwd.load[self.slot(net)];
-            }
-        }
-        let load = self.fresh_net_load(net);
-        self.stat(|s| s.load_only_settles += 1);
-        load
-    }
-
-    /// Exact load of one net under the current sizing and options,
-    /// computed without touching the cached slab — same pin order and
-    /// summation as [`TimingGraph::recompute_net_load`], so it
-    /// reproduces the flushed value bit for bit.
-    fn fresh_net_load(&self, net: NetId) -> f64 {
-        let i = net.index();
-        let (lo, hi) = (self.fanout_off[i] as usize, self.fanout_off[i + 1] as usize);
-        let mut load = 0.0;
-        for &g in &self.fanout[lo..hi] {
-            load += self.sizing.cin_ff(g);
-        }
-        if self.is_po[i] {
-            load += self.options.po_load_ff;
-        }
-        load
-    }
-
-    /// Worst-case delay of a gate (ps) under the current slopes.
-    ///
-    /// When only *resize* seeds are pending, the answer settles without
-    /// flushing the merged forward union: a gate's worst delay depends
-    /// only on its own drive, its fresh output load, and its fanin
-    /// slopes — and each driven fanin's slope is its driver's `τ_out`
-    /// under the driver's *current* drive and load (one `arc_terms`
-    /// evaluation, no recursion), while per-edge reachability (`-inf`
-    /// arrivals) is structural and resize-invariant. The settle runs
-    /// the kernel's exact arc order and expressions over those fresh
-    /// inputs, so it is bit-identical to the post-flush slab read; it
-    /// writes nothing (the cached slabs stay the pre-mutation baseline
-    /// the flush's load scans compare against). A K=1 probe loop goes
-    /// from paying the whole union's drain per probe to O(fanins);
-    /// [`UpdateStats::gate_delay_settles`] counts this path.
-    pub fn gate_delay_worst_ps(&self, gate: GateId) -> f64 {
-        let nc = self.corner_libs.len();
-        {
-            let fwd = self.fwd.borrow();
-            if fwd.flushed_gen == self.gen {
-                return fwd.gate_delay_worst[self.rank[gate.index()] as usize * nc];
-            }
-            if !fwd.scan_loads && !fwd.reload_pos && !fwd.reslope_pis && fwd.gate_log.is_empty() {
-                let d = self.settle_gate_delay(&fwd, gate);
-                self.stat(|s| s.gate_delay_settles += 1);
-                return d;
-            }
-        }
         self.flush_forward();
-        self.fwd.borrow().gate_delay_worst[self.rank[gate.index()] as usize * nc]
+        self.fwd.borrow().load[self.slot(net)]
     }
 
-    /// [`TimingGraph::gate_delay_worst_ps`] on one corner (always
-    /// flushes — the flushless settle is a primary-corner fast path).
+    /// Worst-case delay of a gate (ps) under the current slopes, on the
+    /// primary corner.
+    pub fn gate_delay_worst_ps(&self, gate: GateId) -> f64 {
+        self.gate_delay_worst_ps_corner(gate, 0)
+    }
+
+    /// [`TimingGraph::gate_delay_worst_ps`] on one corner.
     ///
     /// # Panics
     ///
@@ -1865,77 +1823,6 @@ impl<'c> TimingGraph<'c> {
         self.flush_forward();
         let nc = self.corner_libs.len();
         self.fwd.borrow().gate_delay_worst[self.rank[gate.index()] as usize * nc + corner]
-    }
-
-    /// The flushless worst-delay settle (see
-    /// [`TimingGraph::gate_delay_worst_ps`] for why it is sound only
-    /// under pure-resize seeds). Fold order and expressions replicate
-    /// the forward kernel (`FwdView::eval_gate`) exactly.
-    fn settle_gate_delay(&self, fwd: &ForwardState, gate: GateId) -> f64 {
-        let gi = gate.index();
-        let nc = self.corner_libs.len();
-        let cell = self.cell[gi];
-        let cin = self.sizing.cin_ff(gate);
-        let load = self.fresh_net_load(self.out_net[gi]);
-        let params = &self.gate_params[gi * nc];
-        let ArcTerms {
-            tau_out_by_edge,
-            miller,
-        } = params.arc_terms(cin, load);
-        let fanin_range = self.fanin_off[gi] as usize..self.fanin_off[gi + 1] as usize;
-        // Fresh per-fanin slopes: a primary input's cached slope is
-        // current (no reslope pending on this path); a driven net's
-        // slope re-derives as its driver's τ_out — which the pending
-        // flush will write wherever the edge is reachable, and which
-        // the fold below reads only where the edge is reachable. All on
-        // the primary corner (`* nc` selects its lane).
-        let fresh_slope: Vec<[f64; 2]> = fanin_range
-            .clone()
-            .map(|idx| {
-                let in_net = self.fanin[idx];
-                match self.net_driver[in_net.index()] {
-                    None => fwd.slope[self.fanin_slots[idx] as usize * nc],
-                    Some(d) => {
-                        self.gate_params[d.index() * nc]
-                            .arc_terms(self.sizing.cin_ff(d), self.fresh_net_load(in_net))
-                            .tau_out_by_edge
-                    }
-                }
-            })
-            .collect();
-        let mut worst = 0.0f64;
-        for out_edge in EDGES {
-            let tau_out = tau_out_by_edge[eidx(out_edge)];
-            for (k, idx) in fanin_range.clone().enumerate() {
-                let in_arrival = fwd.arrival[self.fanin_slots[idx] as usize * nc];
-                for &in_edge in compatible_input_edges(cell, out_edge) {
-                    let i = eidx(in_edge);
-                    if in_arrival[i] == f64::NEG_INFINITY {
-                        continue;
-                    }
-                    let delay_ps =
-                        0.5 * params.vt[i] * fresh_slope[k][i] + 0.5 * miller[i] * tau_out;
-                    debug_assert_eq!(
-                        delay_ps.to_bits(),
-                        gate_delay_with_output_edge_vt(
-                            &self.corner_libs[0],
-                            cell,
-                            VtTiming::of(self.vt_class[gi]),
-                            cin,
-                            load,
-                            fresh_slope[k][i],
-                            in_edge,
-                            out_edge,
-                        )
-                        .delay_ps
-                        .to_bits(),
-                        "settled arc delay must match the model"
-                    );
-                    worst = worst.max(delay_ps);
-                }
-            }
-        }
-        worst
     }
 
     /// The most critical path: traceback from the worst primary output.
@@ -2034,14 +1921,10 @@ impl<'c> TimingGraph<'c> {
             tc_ps,
             required: vec![[f64::INFINITY; 2]; n_nets * nc],
             completion: vec![f64::NEG_INFINITY; n_gates * nc],
-            req_bits: vec![0u64; n_gates.div_ceil(64)],
-            req_count: 0,
-            req_max_rank: 0,
+            req: DirtySet::new(n_gates),
             pi_bits: vec![0u64; n_nets.div_ceil(64)],
             pi_dirty: Vec::new(),
-            comp_bits: vec![0u64; n_gates.div_ceil(64)],
-            comp_count: 0,
-            comp_max_rank: 0,
+            comp: DirtySet::new(n_gates),
             // One behind: the first backward query performs the flush
             // that doubles as the initial full backward pass.
             req_flushed_gen: self.gen.wrapping_sub(1),
@@ -2249,18 +2132,10 @@ impl<'c> TimingGraph<'c> {
         fwd.load[self.slot_of[net] as usize] = load;
     }
 
-    /// Rank-keyed forward mark, used only while a flush materializes
-    /// the seed logs and while its drain expands cones.
+    /// Mark a gate forward-dirty (flush-internal: the seed logs and the
+    /// drain's cone expansion).
     fn mark_dirty(&self, fwd: &mut ForwardState, gate: GateId) {
-        let rank = self.rank[gate.index()];
-        let (word, bit) = (rank as usize / 64, rank % 64);
-        if fwd.dirty_bits[word] & (1u64 << bit) == 0 {
-            fwd.dirty_bits[word] |= 1u64 << bit;
-            fwd.dirty_count += 1;
-            if rank < fwd.min_dirty_rank {
-                fwd.min_dirty_rank = rank;
-            }
-        }
+        fwd.dirty.insert(self.rank[gate.index()] as usize);
     }
 
     /// The forward side of the lazy flush: a no-op when the forward
@@ -2286,11 +2161,11 @@ impl<'c> TimingGraph<'c> {
         self.run_forward_flush(&mut fwd, guard.as_mut());
     }
 
-    /// Materialize the forward seed logs into the rank bitset, then
-    /// drain it in ascending rank order; propagation stops where a
-    /// gate's re-evaluated output is bit-identical to its cached state.
-    /// Mirrors the backward flush's budgeted cut-over: once the cone
-    /// covers most of the ranks, a straight full topo sweep (no bitset
+    /// Materialize the forward seed logs into the dirty set, then drain
+    /// it in ascending rank order; propagation stops where a gate's
+    /// re-evaluated output is bit-identical to its cached state.
+    /// Mirrors the backward flush's budgeted cut-over: once the seeds
+    /// cover most of the ranks, a straight full topo sweep (no dirty-set
     /// bookkeeping, no fanout marking) finishes cheaper than the drain
     /// — and is bit-identical, because a topo-order pass gives every
     /// gate final fanin values and unchanged gates reproduce their
@@ -2361,12 +2236,7 @@ impl<'c> TimingGraph<'c> {
         for gate in resized.drain(..) {
             // The fanin nets' loads moved with the gate's C_IN: their
             // drivers re-time, and the gate's own drive changed.
-            let (lo, hi) = (
-                self.fanin_off[gate.index()] as usize,
-                self.fanin_off[gate.index() + 1] as usize,
-            );
-            for i in lo..hi {
-                let in_net = self.fanin[i];
+            for &in_net in self.fanin_nets(gate) {
                 self.recompute_net_load(fwd, in_net.index());
                 if let Some(driver) = self.net_driver[in_net.index()] {
                     self.mark_dirty(fwd, driver);
@@ -2384,7 +2254,7 @@ impl<'c> TimingGraph<'c> {
         // Budgeted drain (see the doc comment). The forward budget sits
         // at ¾ of the ranks — far looser than the backward flush's ⅓ —
         // because `eval_gate` already hoists its arc terms once per
-        // *gate*: the sweep saves only the bitset bookkeeping and
+        // *gate*: the sweep saves only the dirty-set bookkeeping and
         // fanout marking, so it wins only when nearly every rank is
         // dirty (option rescans, post-surgery load scans, wide batch
         // unions), never on merged probe cones. For the same reason the
@@ -2395,25 +2265,14 @@ impl<'c> TimingGraph<'c> {
         // sweep. (The backward drain pays its hoisting once per *pin*,
         // which is why its sweep breaks even a third of the way in and
         // is still worth bailing to mid-drain.)
-        let budget = Self::budget(n_gates, self.fwd_budget);
-        let mut sweep = fwd.dirty_count >= budget;
-        if !sweep && fwd.dirty_count > 0 {
-            // Adaptive cut-over: sweep when the seed set's level-span
-            // closure estimate alone blows the budget (spread seeds on
-            // the synthetic fabrics; see `forward_closure_estimate`).
-            sweep = self.forward_closure_estimate(fwd) >= budget;
-        }
-        let (reevals, cuts, any_changed) = if sweep {
-            let any_changed = self.full_forward_sweep(fwd, bw);
-            fwd.dirty_bits.iter_mut().for_each(|w| *w = 0);
-            fwd.dirty_count = 0;
-            (n_gates, 0, any_changed)
-        } else if fwd.dirty_count > 0 {
-            self.drain_forward(fwd, bw)
-        } else {
-            (0, 0, false)
-        };
-        fwd.min_dirty_rank = u32::MAX;
+        let (reevals, cuts, any_changed) =
+            if fwd.dirty.len() >= Self::budget(n_gates, self.fwd_budget) {
+                let any_changed = self.full_forward_sweep(fwd, bw);
+                fwd.dirty.clear();
+                (n_gates, 0, any_changed)
+            } else {
+                self.drain_forward(fwd, bw)
+            };
         self.stat(|s| {
             s.forward_flushes += 1;
             s.gates_reevaluated += reevals;
@@ -2465,29 +2324,8 @@ impl<'c> TimingGraph<'c> {
         }
     }
 
-    /// Mark the fanout ranks of the gate at `pos` into a raw dirty
-    /// bitset (the drain's cone expansion; `min_dirty_rank` needs no
-    /// update — fanouts rank strictly above the cursor, and the drain
-    /// resets the minimum when it finishes).
-    fn mark_fanouts_raw(&self, bits: &mut [u64], count: &mut usize, pos: usize) {
-        let out = self.out_net[self.topo[pos].index()].index();
-        let (lo, hi) = (
-            self.fanout_off[out] as usize,
-            self.fanout_off[out + 1] as usize,
-        );
-        for &g in &self.fanout[lo..hi] {
-            let r = self.rank[g.index()] as usize;
-            let (word, bit) = (r / 64, r % 64);
-            if bits[word] & (1u64 << bit) == 0 {
-                bits[word] |= 1u64 << bit;
-                *count += 1;
-            }
-        }
-    }
-
-    /// Drain the forward dirty bitset in ascending rank order with a
-    /// single `trailing_zeros` cursor; returns `(reevals, cuts,
-    /// any_changed)`.
+    /// Drain the forward dirty set in ascending rank order; returns
+    /// `(reevals, cuts, any_changed)`.
     fn drain_forward(
         &self,
         fwd: &mut ForwardState,
@@ -2499,34 +2337,26 @@ impl<'c> TimingGraph<'c> {
             pred,
             load,
             gate_delay_worst,
-            dirty_bits,
-            dirty_count,
-            min_dirty_rank,
+            dirty,
             ..
         } = fwd;
         let ctx = self.eval_ctx();
         let mut view = FwdView::new(arrival, slope, pred, load, gate_delay_worst);
         let mut reevals = 0usize;
         let mut changed = 0usize;
-        let mut word = *min_dirty_rank as usize / 64;
-        while *dirty_count > 0 {
-            // Re-read each round: processing a gate may mark ranks
-            // within the current word (always above the bit just
-            // cleared).
-            let bits = dirty_bits[word];
-            if bits == 0 {
-                word += 1;
-                continue;
-            }
-            let bit = bits.trailing_zeros();
-            dirty_bits[word] &= !(1u64 << bit);
-            *dirty_count -= 1;
-            let pos = word * 64 + bit as usize;
+        while let Some(pos) = dirty.pop_lowest() {
             reevals += 1;
             let f = view.eval_gate(&ctx, pos);
             if f & F_OUT_CHANGED != 0 {
                 changed += 1;
-                self.mark_fanouts_raw(dirty_bits, dirty_count, pos);
+                let out = self.out_net[self.topo[pos].index()].index();
+                let (lo, hi) = (
+                    self.fanout_off[out] as usize,
+                    self.fanout_off[out + 1] as usize,
+                );
+                for &g in &self.fanout[lo..hi] {
+                    dirty.insert(self.rank[g.index()] as usize);
+                }
             }
             if f != 0 {
                 if let Some(bw) = bw.as_deref_mut() {
@@ -2540,7 +2370,7 @@ impl<'c> TimingGraph<'c> {
     /// Evaluate every gate once in topological order — exactly the full
     /// pass of `analyze_with` — streaming the slabs in memory order.
     /// Returns whether any output moved. The caller clears the dirty
-    /// bitset: a full sweep subsumes every pending mark.
+    /// set: a full sweep subsumes every pending mark.
     fn full_forward_sweep(
         &self,
         fwd: &mut ForwardState,
@@ -2597,50 +2427,26 @@ impl<'c> TimingGraph<'c> {
         }
     }
 
-    /// Rank-keyed required-mark, used by the flush when it materializes
-    /// the seed logs and while its drain expands cones. Driven nets key
-    /// on their driver's rank; primary-input nets go to the sink list.
-    fn mark_required_in(
-        bw: &mut BackwardState,
-        rank: &[u32],
-        net_driver: &[Option<GateId>],
+    /// Mark a net required-dirty (flush-internal: the seed logs and the
+    /// drain's cone expansion). Driven nets key on their driver's rank;
+    /// driverless nets go to the sink list.
+    fn mark_required(
+        &self,
+        req: &mut DirtySet,
+        pi_bits: &mut [u64],
+        pi_dirty: &mut Vec<NetId>,
         net: NetId,
     ) {
-        match net_driver[net.index()] {
-            Some(driver) => {
-                let r = rank[driver.index()];
-                let (word, bit) = (r as usize / 64, r % 64);
-                if bw.req_bits[word] & (1u64 << bit) == 0 {
-                    bw.req_bits[word] |= 1u64 << bit;
-                    bw.req_count += 1;
-                    if r > bw.req_max_rank {
-                        bw.req_max_rank = r;
-                    }
-                }
-            }
-            None => {
-                let i = net.index();
-                let (word, bit) = (i / 64, i % 64);
-                if bw.pi_bits[word] & (1u64 << bit) == 0 {
-                    bw.pi_bits[word] |= 1u64 << bit;
-                    bw.pi_dirty.push(net);
-                }
-            }
+        match self.net_driver[net.index()] {
+            Some(driver) => req.insert(self.rank[driver.index()] as usize),
+            None => mark_pi(pi_bits, pi_dirty, net),
         }
     }
 
-    /// Rank-keyed completion-mark (flush-internal, as
-    /// [`TimingGraph::mark_required_in`]).
-    fn mark_completion_in(bw: &mut BackwardState, rank: &[u32], gate: GateId) {
-        let r = rank[gate.index()];
-        let (word, bit) = (r as usize / 64, r % 64);
-        if bw.comp_bits[word] & (1u64 << bit) == 0 {
-            bw.comp_bits[word] |= 1u64 << bit;
-            bw.comp_count += 1;
-            if r > bw.comp_max_rank {
-                bw.comp_max_rank = r;
-            }
-        }
+    /// The fanin nets of a gate, as a slice of the flattened adjacency.
+    fn fanin_nets(&self, gate: GateId) -> &[NetId] {
+        &self.fanin
+            [self.fanin_off[gate.index()] as usize..self.fanin_off[gate.index() + 1] as usize]
     }
 
     /// Invalidate the whole backward state *lazily*: mark every driven
@@ -2665,19 +2471,9 @@ impl<'c> TimingGraph<'c> {
     /// are subsumed and discarded. The flush recognizes the saturated
     /// count and runs the gate-centric full sweep directly.
     fn mark_all_required(bw: &mut BackwardState, n_gates: usize, pis: &[NetId]) {
-        for r in 0..n_gates {
-            bw.req_bits[r / 64] |= 1u64 << (r % 64);
-        }
-        bw.req_count = n_gates;
-        if n_gates > 0 {
-            bw.req_max_rank = (n_gates - 1) as u32;
-        }
+        bw.req.fill(n_gates);
         for &pi in pis {
-            let i = pi.index();
-            if bw.pi_bits[i / 64] & (1u64 << (i % 64)) == 0 {
-                bw.pi_bits[i / 64] |= 1u64 << (i % 64);
-                bw.pi_dirty.push(pi);
-            }
+            mark_pi(&mut bw.pi_bits, &mut bw.pi_dirty, pi);
         }
         bw.resized_log.clear();
         bw.req_net_log.clear();
@@ -2688,13 +2484,7 @@ impl<'c> TimingGraph<'c> {
     /// Mark every gate completion-dirty; pending completion seed logs
     /// are subsumed and discarded.
     fn mark_all_completion(bw: &mut BackwardState, n_gates: usize) {
-        for r in 0..n_gates {
-            bw.comp_bits[r / 64] |= 1u64 << (r % 64);
-        }
-        bw.comp_count = n_gates;
-        if n_gates > 0 {
-            bw.comp_max_rank = (n_gates - 1) as u32;
-        }
+        bw.comp.fill(n_gates);
         bw.comp_gate_log.clear();
     }
 
@@ -2745,51 +2535,37 @@ impl<'c> TimingGraph<'c> {
         // through it moved with its C_IN) and its fanin drivers' fanin
         // nets (their output loads moved).
         let log_bound = bw.req_net_log.len() + 6 * bw.resized_log.len();
-        let mut req_sweep = bw.req_count >= budget || log_bound > budget.saturating_mul(3) / 2;
+        let mut req_sweep = bw.req.len() >= budget || log_bound > budget.saturating_mul(3) / 2;
         if req_sweep {
             bw.req_net_log.clear();
             bw.resized_log.clear();
-        } else if !bw.req_net_log.is_empty() || !bw.resized_log.is_empty() {
-            let mut req_log = std::mem::take(&mut bw.req_net_log);
-            for net in req_log.drain(..) {
-                Self::mark_required_in(bw, &self.rank, &self.net_driver, net);
+        } else {
+            let BackwardState {
+                req,
+                pi_bits,
+                pi_dirty,
+                req_net_log,
+                resized_log,
+                ..
+            } = &mut *bw;
+            for net in req_net_log.drain(..) {
+                self.mark_required(req, pi_bits, pi_dirty, net);
             }
-            bw.req_net_log = req_log;
-            let mut resized = std::mem::take(&mut bw.resized_log);
-            for gate in resized.drain(..) {
-                let (lo, hi) = (
-                    self.fanin_off[gate.index()] as usize,
-                    self.fanin_off[gate.index() + 1] as usize,
-                );
-                for &in_net in &self.fanin[lo..hi] {
-                    Self::mark_required_in(bw, &self.rank, &self.net_driver, in_net);
+            for gate in resized_log.drain(..) {
+                for &in_net in self.fanin_nets(gate) {
+                    self.mark_required(req, pi_bits, pi_dirty, in_net);
                     if let Some(driver) = self.net_driver[in_net.index()] {
-                        let (dlo, dhi) = (
-                            self.fanin_off[driver.index()] as usize,
-                            self.fanin_off[driver.index() + 1] as usize,
-                        );
-                        for &d_net in &self.fanin[dlo..dhi] {
-                            Self::mark_required_in(bw, &self.rank, &self.net_driver, d_net);
+                        for &d_net in self.fanin_nets(driver) {
+                            self.mark_required(req, pi_bits, pi_dirty, d_net);
                         }
                     }
                 }
             }
-            bw.resized_log = resized;
-            req_sweep = bw.req_count >= budget;
-        }
-
-        // Adaptive cut-over: the static budget only sees the seed
-        // *count*, which wildly underestimates the drain on spread seed
-        // sets whose fanin closure is nearly the whole circuit (the
-        // synthetic fabrics' 0.25-fraction calibration regime).
-        // Estimate the closure from the seed set's level span and go
-        // straight to the sweep when it alone would blow the budget.
-        if !req_sweep && bw.req_count > 0 {
-            req_sweep = self.backward_closure_estimate(&bw.req_bits, bw.req_count) >= budget;
+            req_sweep = req.len() >= budget;
         }
 
         // Required times over driven nets, highest driver rank first.
-        if !req_sweep && bw.req_count > 0 {
+        if !req_sweep && !bw.req.is_empty() {
             // Hoist the kernel context and view once: rebuilding the
             // slice bundle per net dominates the small probe cones this
             // path exists for.
@@ -2797,9 +2573,7 @@ impl<'c> TimingGraph<'c> {
                 tc_ps,
                 required,
                 completion,
-                req_bits,
-                req_count,
-                req_max_rank,
+                req,
                 pi_bits,
                 pi_dirty,
                 slack_net_log,
@@ -2814,41 +2588,24 @@ impl<'c> TimingGraph<'c> {
                 &fwd.gate_delay_worst,
                 *tc_ps,
             );
-            let mut word = *req_max_rank as usize / 64;
-            loop {
-                // Re-read each round: processing a net may mark ranks
-                // within the current word (always below the bit just
-                // cleared).
-                let bits = req_bits[word];
-                if bits == 0 {
-                    if word == 0 {
-                        break;
-                    }
-                    word -= 1;
-                    continue;
-                }
-                let bit = 63 - bits.leading_zeros();
-                req_bits[word] &= !(1u64 << bit);
-                *req_count -= 1;
-                let pos = word * 64 + bit as usize;
-                let net = self.out_net[self.topo[pos].index()];
+            while let Some(pos) = req.pop_highest() {
+                let gate = self.topo[pos];
+                let net = self.out_net[gate.index()];
                 req_reevals += 1;
                 if view.eval_required_net(&ctx, net.index(), self.slot(net)) {
                     slack_net_log.push(net);
-                    self.mark_required_fanins_raw(req_bits, req_count, pi_bits, pi_dirty, pos);
+                    for &in_net in self.fanin_nets(gate) {
+                        self.mark_required(req, pi_bits, pi_dirty, in_net);
+                    }
                 } else {
                     req_cuts += 1;
                 }
-                if *req_count == 0 {
-                    break;
-                }
-                if req_reevals >= budget {
+                if req_reevals >= budget && !req.is_empty() {
                     // The cone saturated mid-drain: bail to the sweep.
                     req_sweep = true;
                     break;
                 }
             }
-            bw.req_max_rank = 0;
         }
 
         if req_sweep {
@@ -2858,17 +2615,15 @@ impl<'c> TimingGraph<'c> {
             // once-per-gate hoisting cost. Subsumes the PI sinks and
             // every pending mark.
             self.sweep_required_full(&fwd, bw);
-            bw.req_bits.iter_mut().for_each(|w| *w = 0);
-            bw.req_count = 0;
-            bw.req_max_rank = 0;
-            bw.pi_bits.iter_mut().for_each(|w| *w = 0);
+            bw.req.clear();
+            bw.pi_bits.fill(0);
             bw.pi_dirty.clear();
             // The sweep bypasses per-net change detection, so the moved
             // slacks are unknown: refold the index wholesale below.
             bw.refold_all = true;
             req_reevals += self.slot_of.len();
         } else if !bw.pi_dirty.is_empty() {
-            // Primary-input nets: backward sinks, nothing propagates
+            // Driverless nets: backward sinks, nothing propagates
             // further.
             let BackwardState {
                 tc_ps,
@@ -2975,32 +2730,23 @@ impl<'c> TimingGraph<'c> {
 
         // Materialize the completion seed log (see `flush_required`).
         let mut comp_sweep =
-            bw.comp_count >= budget || bw.comp_gate_log.len() > budget.saturating_mul(3) / 2;
+            bw.comp.len() >= budget || bw.comp_gate_log.len() > budget.saturating_mul(3) / 2;
         if comp_sweep {
             bw.comp_gate_log.clear();
-        } else if !bw.comp_gate_log.is_empty() {
-            let mut log = std::mem::take(&mut bw.comp_gate_log);
-            for gate in log.drain(..) {
-                Self::mark_completion_in(bw, &self.rank, gate);
+        } else {
+            for gate in bw.comp_gate_log.drain(..) {
+                bw.comp.insert(self.rank[gate.index()] as usize);
             }
-            bw.comp_gate_log = log;
-            comp_sweep = bw.comp_count >= budget;
+            comp_sweep = bw.comp.len() >= budget;
         }
 
-        // Adaptive cut-over (see `flush_required`).
-        if !comp_sweep && bw.comp_count > 0 {
-            comp_sweep = self.backward_closure_estimate(&bw.comp_bits, bw.comp_count) >= budget;
-        }
-
-        if !comp_sweep && bw.comp_count > 0 {
+        if !comp_sweep && !bw.comp.is_empty() {
             // Hoisted kernel context, as in the required drain.
             let BackwardState {
                 tc_ps,
                 required,
                 completion,
-                comp_bits,
-                comp_count,
-                comp_max_rank,
+                comp,
                 ..
             } = &mut *bw;
             let ctx = self.eval_ctx();
@@ -3012,44 +2758,24 @@ impl<'c> TimingGraph<'c> {
                 &fwd.gate_delay_worst,
                 *tc_ps,
             );
-            let mut word = *comp_max_rank as usize / 64;
-            loop {
-                let bits = comp_bits[word];
-                if bits == 0 {
-                    if word == 0 {
-                        break;
-                    }
-                    word -= 1;
-                    continue;
-                }
-                let bit = 63 - bits.leading_zeros();
-                comp_bits[word] &= !(1u64 << bit);
-                *comp_count -= 1;
-                let pos = word * 64 + bit as usize;
+            while let Some(pos) = comp.pop_highest() {
                 comp_reevals += 1;
                 if view.eval_completion_gate(&ctx, pos) {
-                    self.mark_completion_fanin_drivers_raw(
-                        comp_bits,
-                        comp_count,
-                        comp_max_rank,
-                        pos,
-                    );
+                    for &in_net in self.fanin_nets(self.topo[pos]) {
+                        if let Some(driver) = self.net_driver[in_net.index()] {
+                            comp.insert(self.rank[driver.index()] as usize);
+                        }
+                    }
                 }
-                if *comp_count == 0 {
-                    break;
-                }
-                if comp_reevals >= budget {
+                if comp_reevals >= budget && !comp.is_empty() {
                     comp_sweep = true;
                     break;
                 }
             }
-            bw.comp_max_rank = 0;
         }
         if comp_sweep {
             self.sweep_completion_full(&fwd, bw);
-            bw.comp_bits.iter_mut().for_each(|w| *w = 0);
-            bw.comp_count = 0;
-            bw.comp_max_rank = 0;
+            bw.comp.clear();
             comp_reevals += n_gates_total;
         }
 
@@ -3057,74 +2783,6 @@ impl<'c> TimingGraph<'c> {
             s.backward_flushes += 1;
             s.completion_reevaluated += comp_reevals;
         });
-    }
-
-    /// Raw-parts form of [`TimingGraph::mark_required_in`] for the
-    /// drains that hold a [`BwdView`] over the rest of the backward
-    /// state: mark the fanin nets of the gate at topo position `pos`.
-    /// Marks target strictly lower levels than `pos`, so `req_max_rank`
-    /// needs no maintenance mid-drain.
-    fn mark_required_fanins_raw(
-        &self,
-        req_bits: &mut [u64],
-        req_count: &mut usize,
-        pi_bits: &mut [u64],
-        pi_dirty: &mut Vec<NetId>,
-        pos: usize,
-    ) {
-        let gate = self.topo[pos];
-        let (lo, hi) = (
-            self.fanin_off[gate.index()] as usize,
-            self.fanin_off[gate.index() + 1] as usize,
-        );
-        for &in_net in &self.fanin[lo..hi] {
-            match self.net_driver[in_net.index()] {
-                Some(driver) => {
-                    let r = self.rank[driver.index()] as usize;
-                    if req_bits[r / 64] & (1u64 << (r % 64)) == 0 {
-                        req_bits[r / 64] |= 1u64 << (r % 64);
-                        *req_count += 1;
-                    }
-                }
-                None => {
-                    let i = in_net.index();
-                    if pi_bits[i / 64] & (1u64 << (i % 64)) == 0 {
-                        pi_bits[i / 64] |= 1u64 << (i % 64);
-                        pi_dirty.push(in_net);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Mark the fanin *drivers* of the gate at topo position `pos`
-    /// completion-dirty (raw parts, as
-    /// [`TimingGraph::mark_required_fanins_raw`]).
-    fn mark_completion_fanin_drivers_raw(
-        &self,
-        comp_bits: &mut [u64],
-        comp_count: &mut usize,
-        comp_max_rank: &mut u32,
-        pos: usize,
-    ) {
-        let gate = self.topo[pos];
-        let (lo, hi) = (
-            self.fanin_off[gate.index()] as usize,
-            self.fanin_off[gate.index() + 1] as usize,
-        );
-        for &in_net in &self.fanin[lo..hi] {
-            if let Some(driver) = self.net_driver[in_net.index()] {
-                let r = self.rank[driver.index()];
-                let (word, bit) = (r as usize / 64, r % 64);
-                if comp_bits[word] & (1u64 << bit) == 0 {
-                    comp_bits[word] |= 1u64 << bit;
-                    *comp_count += 1;
-                    if r > *comp_max_rank {
-                        *comp_max_rank = r;
-                    }
-                }
-            }
-        }
     }
 
     /// Gate-centric full backward pass into `bw.required`: reinitialize
@@ -3196,73 +2854,6 @@ impl<'c> TimingGraph<'c> {
         );
         for pos in (0..self.topo.len()).rev() {
             view.eval_completion_gate(&ctx, pos);
-        }
-    }
-
-    /// `(lowest dirty level, highest, levels hit)` of a rank-keyed
-    /// dirty bitset — the adaptive cut-over's seed profile. One
-    /// [`range_any`] probe per level: O(levels + words), no clearing.
-    fn dirty_level_profile(&self, bits: &[u64]) -> Option<(usize, usize, usize)> {
-        let n_levels = self.level_start.len() - 1;
-        let mut lo = None;
-        let mut hi = 0usize;
-        let mut hit = 0usize;
-        for level in 0..n_levels {
-            if range_any(bits, self.level_start[level], self.level_start[level + 1]) {
-                if lo.is_none() {
-                    lo = Some(level);
-                }
-                hi = level;
-                hit += 1;
-            }
-        }
-        lo.map(|lo| (lo, hi, hit))
-    }
-
-    /// Estimated forward-drain size from the seed set's level span. The
-    /// static budget only sees the seed *count*; a spread seed set on a
-    /// shallow high-fanout fabric closes over nearly every downstream
-    /// rank while counting far below it. When the seeds hit at least
-    /// half the levels from their lowest up (the closure keeps
-    /// expanding level over level) *and* are dense enough that the
-    /// cones must overlap (≥ ¼ of the span — the calibration fabrics'
-    /// losing regime, and comfortably above a merged probe union on the
-    /// suite circuits, whose bitwise convergence cut keeps true
-    /// closures far below the span), the whole remaining rank span is
-    /// the expected drain — return it for the caller's `>= budget`
-    /// comparison. Anything sparser or shallower returns 0 and leaves
-    /// the static budget in charge.
-    fn forward_closure_estimate(&self, fwd: &ForwardState) -> usize {
-        if fwd.dirty_count < 32 {
-            return 0;
-        }
-        let Some((lo, _hi, hit)) = self.dirty_level_profile(&fwd.dirty_bits) else {
-            return 0;
-        };
-        let n_levels = self.level_start.len() - 1;
-        let span = self.topo.len() - self.level_start[lo] as usize;
-        if hit * 2 >= n_levels - lo && fwd.dirty_count * 4 >= span {
-            span
-        } else {
-            0
-        }
-    }
-
-    /// Backward mirror of [`TimingGraph::forward_closure_estimate`]:
-    /// the closure expands *downward*, so the span runs from rank 0 to
-    /// the end of the highest dirty level.
-    fn backward_closure_estimate(&self, bits: &[u64], count: usize) -> usize {
-        if count < 32 {
-            return 0;
-        }
-        let Some((_lo, hi, hit)) = self.dirty_level_profile(bits) else {
-            return 0;
-        };
-        let span = self.level_start[hi + 1] as usize;
-        if hit * 2 > hi && count * 4 >= span {
-            span
-        } else {
-            0
         }
     }
 }
@@ -3919,5 +3510,133 @@ mod tests {
         let views: Vec<&dyn TimingView> = vec![&report, &graph];
         let delays: Vec<f64> = views.iter().map(|v| v.critical_delay_ps()).collect();
         assert_eq!(delays[0].to_bits(), delays[1].to_bits());
+    }
+
+    #[test]
+    fn corner_queries_reject_out_of_range_corners() {
+        let lib = Library::cmos025();
+        let c = inverter_chain(3);
+        let mut graph = TimingGraph::new(&c, &lib, &Sizing::minimum(&c, &lib)).unwrap();
+        graph.set_constraint(100.0);
+        let graph = graph;
+        let (net, gate, bad) = (
+            c.primary_outputs()[0],
+            c.gate_ids().next().unwrap(),
+            graph.n_corners(),
+        );
+        let rise = EdgeDir::Rising;
+        let queries: [(&str, &dyn Fn() -> f64); 8] = [
+            ("critical_delay_ps_corner", &|| {
+                graph.critical_delay_ps_corner(bad)
+            }),
+            ("arrival_ps_corner", &|| {
+                graph.arrival_ps_corner(net, rise, bad)
+            }),
+            ("slope_ps_corner", &|| graph.slope_ps_corner(net, rise, bad)),
+            ("gate_delay_worst_ps_corner", &|| {
+                graph.gate_delay_worst_ps_corner(gate, bad)
+            }),
+            ("required_ps_corner", &|| {
+                graph.required_ps_corner(net, rise, bad)
+            }),
+            ("slack_ps_corner", &|| graph.slack_ps_corner(net, rise, bad)),
+            ("worst_slack_ps_corner", &|| {
+                graph.worst_slack_ps_corner(net, bad)
+            }),
+            ("worst_slack_overall_ps_corner", &|| {
+                graph.worst_slack_overall_ps_corner(bad).unwrap_or(0.0)
+            }),
+        ];
+        for (name, query) in queries {
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(query)).expect_err(name);
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(message, Some("corner out of range"), "{name}");
+        }
+    }
+
+    /// A settled, constrained graph that passes the audit — the base
+    /// each negative audit test corrupts one invariant of.
+    fn audited_graph<'c>(c: &Circuit, lib: &'c Library) -> TimingGraph<'c> {
+        let mut graph = TimingGraph::new(c, lib, &Sizing::minimum(c, lib)).unwrap();
+        graph.set_constraint(0.9 * graph.critical_delay_ps());
+        graph.verify_state().unwrap();
+        graph
+    }
+
+    fn assert_corrupt(graph: &TimingGraph, needle: &str) {
+        match graph.verify_state() {
+            Err(StaError::StateCorrupt { detail }) => {
+                assert!(detail.contains(needle), "{detail:?} must name {needle:?}")
+            }
+            other => panic!("expected StateCorrupt naming {needle:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn audit_catches_a_rank_topo_inversion() {
+        let lib = Library::cmos025();
+        let c = inverter_chain(4);
+        let mut graph = audited_graph(&c, &lib);
+        graph.topo.swap(0, 1);
+        assert_corrupt(&graph, "does not invert topo position");
+    }
+
+    #[test]
+    fn audit_catches_a_fanin_driver_not_below_its_gate() {
+        // Swap the first two inverters of the chain consistently in
+        // `topo`, `rank` and the slot map: every bijection still holds,
+        // but the second inverter now sits before its own driver.
+        let lib = Library::cmos025();
+        let c = inverter_chain(4);
+        let mut graph = audited_graph(&c, &lib);
+        let (a, b) = (graph.topo[0], graph.topo[1]);
+        graph.topo.swap(0, 1);
+        graph.rank.swap(a.index(), b.index());
+        let (na, nb) = (
+            graph.out_net[a.index()].index(),
+            graph.out_net[b.index()].index(),
+        );
+        graph.slot_of.swap(na, nb);
+        assert_corrupt(&graph, "fanin driver at position 1 — not strictly lower");
+    }
+
+    #[test]
+    fn audit_catches_dirty_set_count_mismatches() {
+        let lib = Library::cmos025();
+        let c = ripple_carry_adder(4);
+        let mut graph = audited_graph(&c, &lib);
+        graph.fwd.get_mut().dirty.count = 1;
+        assert_corrupt(&graph, "forward dirty set holds 0 bits but counts 1");
+
+        let mut graph = audited_graph(&c, &lib);
+        graph.backward.get_mut().as_mut().unwrap().req.bits[0] |= 1;
+        assert_corrupt(&graph, "required dirty set holds 1 bits but counts 0");
+    }
+
+    #[test]
+    fn audit_catches_nan_in_a_slab() {
+        let lib = Library::cmos025();
+        let c = ripple_carry_adder(4);
+        let mut graph = audited_graph(&c, &lib);
+        graph.fwd.get_mut().slope[0] = [f64::NAN; 2];
+        assert_corrupt(&graph, "slope at slot 0/corner 0 is NaN");
+
+        let mut graph = audited_graph(&c, &lib);
+        graph.backward.get_mut().as_mut().unwrap().required[0] = [f64::NAN; 2];
+        assert_corrupt(&graph, "required at slot 0/corner 0 is NaN");
+    }
+
+    #[test]
+    fn audit_catches_a_worst_slack_leaf_that_disagrees_with_the_slabs() {
+        let lib = Library::cmos025();
+        let c = ripple_carry_adder(4);
+        let mut graph = audited_graph(&c, &lib);
+        let slot = graph.slot(c.primary_outputs()[0]);
+        graph.backward.get_mut().as_mut().unwrap().required[slot][0] -= 1000.0;
+        assert_corrupt(&graph, &format!("worst-slack leaf {slot} holds"));
     }
 }

@@ -1,7 +1,7 @@
 //! The per-gate timing kernels, both directions.
 //!
 //! The timing state lives in rank-major slabs (see
-//! [`crate::incremental`]): gates are ordered level-major, the net
+//! [`crate::incremental`]): gates are in topological order, the net
 //! driven by the gate at topo position `pos` occupies slot
 //! `n_src + pos`, and every per-corner slab is corner-innermost (slot
 //! `s` at corner `c` is index `s * n_corners + c`). Every evaluation the
@@ -38,7 +38,7 @@ pub(crate) type PredPair = [Option<(NetId, Edge)>; 2];
 /// assembled by the graph per flush so the kernels never borrow the
 /// graph itself (which holds `RefCell`s).
 pub(crate) struct EvalCtx<'a> {
-    /// Gates in level-major topo order (`pos` indexes this).
+    /// Gates in topological order (`pos` indexes this).
     pub topo: &'a [GateId],
     /// Cell kind per gate (id-indexed).
     pub cell: &'a [CellKind],
@@ -410,51 +410,5 @@ impl<'a> BwdView<'a> {
                 }
             }
         }
-    }
-}
-
-/// Whether any bit of `bits` in `[lo, hi)` is set — the adaptive sweep
-/// cut-over's per-level dirty probe (no clearing, no collection).
-pub(crate) fn range_any(bits: &[u64], lo: u32, hi: u32) -> bool {
-    if lo >= hi {
-        return false;
-    }
-    let (lo, hi) = (lo as usize, hi as usize);
-    let mut word = lo / 64;
-    let last = (hi - 1) / 64;
-    while word <= last {
-        let mut mask = u64::MAX;
-        if word == lo / 64 {
-            mask &= u64::MAX << (lo % 64);
-        }
-        if word == last && hi % 64 != 0 {
-            mask &= u64::MAX >> (64 - hi % 64);
-        }
-        if bits[word] & mask != 0 {
-            return true;
-        }
-        word += 1;
-    }
-    false
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn range_any_respects_bounds() {
-        let mut bits = vec![0u64; 3];
-        for i in [0usize, 70, 150] {
-            bits[i / 64] |= 1 << (i % 64);
-        }
-        assert!(range_any(&bits, 0, 1));
-        assert!(!range_any(&bits, 1, 70));
-        assert!(range_any(&bits, 70, 71));
-        assert!(range_any(&bits, 5, 192));
-        assert!(!range_any(&bits, 71, 150));
-        assert!(range_any(&bits, 71, 151));
-        assert!(!range_any(&bits, 151, 192));
-        assert!(!range_any(&bits, 10, 10));
     }
 }

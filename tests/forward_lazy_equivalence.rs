@@ -66,6 +66,40 @@ fn assert_forward_equals_eager(graph: &TimingGraph, lib: &Library, step: usize) 
     );
 }
 
+/// The point queries `gate_delay_worst_ps` and `net_load_ff` issued
+/// *first*, while mutations are still pending: they flush like every
+/// other forward query and must land on the eager bits. `load_first`
+/// picks which of the two does the flushing.
+fn assert_point_queries_equal_eager(
+    graph: &TimingGraph,
+    lib: &Library,
+    gate: GateId,
+    load_first: bool,
+    step: usize,
+) {
+    let circuit = graph.circuit();
+    let name = circuit.name();
+    let net = circuit.gate(gate).inputs()[0];
+    let fresh = analyze_with(circuit, lib, graph.sizing(), graph.options()).expect("acyclic");
+    let (delay, load) = if load_first {
+        let load = graph.net_load_ff(net);
+        (graph.gate_delay_worst_ps(gate), load)
+    } else {
+        let delay = graph.gate_delay_worst_ps(gate);
+        (delay, graph.net_load_ff(net))
+    };
+    assert_eq!(
+        delay.to_bits(),
+        fresh.gate_delay_worst_ps(gate).to_bits(),
+        "{name} step {step}: pending-seed worst delay of {gate}"
+    );
+    assert_eq!(
+        load.to_bits(),
+        fresh.net_load_ff(net).to_bits(),
+        "{name} step {step}: pending-seed load of {net}"
+    );
+}
+
 /// The backward observables, when a constraint is set (the two-phase
 /// flush must leave them eager-identical too).
 fn assert_backward_equals_eager(graph: &TimingGraph, lib: &Library, step: usize) {
@@ -186,10 +220,23 @@ fn random_forward_lazy_sequence(name: &str, seed: u64, steps: usize, check_every
             }
         }
         if step % check_every == check_every - 1 {
+            // Every third check opens with a point query instead, so
+            // both point queries also flush from pending seeds.
+            let round = step / check_every;
+            if round % 3 == 2 {
+                let probe = gates[step * 7919 % gates.len()];
+                assert_point_queries_equal_eager(
+                    &graph,
+                    &lib,
+                    probe,
+                    round.is_multiple_of(2),
+                    step,
+                );
+            }
             // Alternate which direction's query fires first, so both
             // the forward-query-first and the two-phase
             // backward-query-first flush orders are exercised.
-            if (step / check_every).is_multiple_of(2) {
+            if round.is_multiple_of(2) {
                 assert_forward_equals_eager(&graph, &lib, step);
                 assert_backward_equals_eager(&graph, &lib, step);
             } else {

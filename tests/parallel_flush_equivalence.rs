@@ -10,11 +10,9 @@
 //! release CI job.
 //!
 //! Also covered here: validity and determinism of the synthetic
-//! scaling fabrics the large-circuit rows build on, the loads-only
-//! `net_load_ff` settle (answers without flushing, never corrupts the
-//! pre-edit load baseline), the flushless worst-delay settle, the
-//! adaptive cut-over, and the sweep-budget extremes (forced drain vs
-//! forced sweep) converging to the same bits.
+//! scaling fabrics the large-circuit rows build on, and the
+//! sweep-budget extremes (forced drain vs forced sweep) converging to
+//! the same bits on a suite circuit and on a spread fabric burst.
 //!
 //! The file keeps the name it had while the level flush also had a
 //! worker-pool arm, so the ids of its tests stay stable.
@@ -467,126 +465,6 @@ fn backward_full_sweep_fires_and_is_bit_identical() {
 }
 
 #[test]
-fn adaptive_cutover_fires_on_spread_seeds_and_keeps_bits() {
-    // An eighth of the fabric's gates resized, spread evenly: the seed
-    // *count* sits far below the static ¾-rank forward budget, but the
-    // fanout closure is essentially the whole circuit — the level-span
-    // estimator must cut over to the full sweep (every gate evaluated,
-    // zero convergence cuts), and a pure-drain `(1,1)` twin proves the
-    // cut-over changes scheduling only, never bits.
-    let lib = Library::cmos025();
-    let circuit = suite::scaling_circuit("synth10k").unwrap();
-    let sizing = Sizing::minimum(&circuit, &lib);
-    let mut graph = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    let mut drain = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    drain.set_sweep_budgets((1, 1), (1, 1));
-    let t0 = graph.critical_delay_ps();
-    let _ = drain.critical_delay_ps();
-    graph.set_constraint(0.9 * t0);
-    drain.set_constraint(0.9 * t0);
-    let _ = graph.worst_slack_overall_ps();
-    let _ = drain.worst_slack_overall_ps();
-
-    let gates: Vec<GateId> = circuit.gate_ids().collect();
-    let n_gates = gates.len();
-    let cref = lib.min_drive_ff();
-    let batch: Vec<(GateId, f64)> = gates
-        .iter()
-        .step_by(8)
-        .enumerate()
-        .map(|(i, &g)| (g, cref * (1.5 + 0.01 * (i % 7) as f64)))
-        .collect();
-    assert!(batch.len() * 4 >= n_gates / 2, "spread batch too sparse");
-    graph.resize_gates(batch.clone());
-    drain.resize_gates(batch);
-
-    let before = graph.stats();
-    let d = graph.critical_delay_ps();
-    let after = graph.stats();
-    assert_eq!(
-        after.gates_reevaluated - before.gates_reevaluated,
-        n_gates,
-        "the spread union must cut over to the full sweep"
-    );
-    assert_eq!(
-        after.converged_early, before.converged_early,
-        "a full sweep takes no convergence cuts"
-    );
-    assert_eq!(
-        d.to_bits(),
-        drain.critical_delay_ps().to_bits(),
-        "cut-over must not change the bits"
-    );
-    assert_eq!(
-        graph.worst_slack_overall_ps().map(f64::to_bits),
-        drain.worst_slack_overall_ps().map(f64::to_bits),
-        "backward state must agree after the adaptive forward sweep"
-    );
-    assert_matches_eager(&graph, &lib, "adaptive cut-over");
-
-    // A single-gate probe afterwards stays on the drain: the estimator
-    // is guarded out below 32 seeds, and one cone converges early.
-    graph.resize_gate(gates[n_gates / 2], 2.0 * cref);
-    let before = graph.stats();
-    let _ = graph.critical_delay_ps();
-    let after = graph.stats();
-    assert!(
-        after.gates_reevaluated - before.gates_reevaluated < n_gates,
-        "a probe cone must not trigger the adaptive sweep"
-    );
-}
-
-#[test]
-fn gate_delay_queries_settle_without_flushing() {
-    // `gate_delay_worst_ps` under pure-resize seeds: answered by the
-    // flushless settle — correct value, no forward flush — so a K=1
-    // resize/probe loop no longer drains the whole merged union per
-    // probe. The settled answers must be bit-identical to the slab
-    // values the next flushing query produces.
-    let lib = Library::cmos025();
-    let circuit = suite::circuit("c880").unwrap();
-    let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).unwrap();
-    let gates: Vec<GateId> = circuit.gate_ids().collect();
-    graph.resize_gate(gates[gates.len() / 3], 5.0 * lib.min_drive_ff());
-
-    let before = graph.stats();
-    let settled: Vec<u64> = gates
-        .iter()
-        .map(|&g| graph.gate_delay_worst_ps(g).to_bits())
-        .collect();
-    let mid = graph.stats();
-    assert_eq!(
-        mid.forward_flushes, before.forward_flushes,
-        "a worst-delay probe under resize seeds must not flush"
-    );
-    assert_eq!(
-        mid.gate_delay_settles,
-        before.gate_delay_settles + gates.len(),
-        "every probe takes the settle path"
-    );
-
-    let _ = graph.critical_delay_ps();
-    assert_eq!(graph.stats().forward_flushes, before.forward_flushes + 1);
-    for (i, &g) in gates.iter().enumerate() {
-        assert_eq!(
-            graph.gate_delay_worst_ps(g).to_bits(),
-            settled[i],
-            "settled and flushed worst delay of {g} must agree"
-        );
-    }
-    // Structural seeds (surgery) disable the settle: the probe flushes.
-    let mut rng = SplitMix64::new(0x5E77_1E00);
-    let plan = random_buffer_plan(&graph, &lib, &mut rng).unwrap();
-    graph.apply_edits(&plan).unwrap();
-    let before = graph.stats();
-    let _ = graph.gate_delay_worst_ps(gates[0]);
-    let after = graph.stats();
-    assert_eq!(after.forward_flushes, before.forward_flushes + 1);
-    assert_eq!(after.gate_delay_settles, before.gate_delay_settles);
-    assert_matches_eager(&graph, &lib, "after settle round-trips");
-}
-
-#[test]
 fn scaling_fabrics_are_valid_and_deterministic() {
     {
         let class = "synth10k";
@@ -640,45 +518,49 @@ fn scaling_fabrics_are_valid_and_deterministic() {
     assert!(cloud.topo_order().is_ok());
 }
 
-#[test]
-fn net_load_queries_settle_without_flushing() {
-    // `net_load_ff` under pending seeds: answered by the loads-only
-    // settle — correct value, no forward flush, no arc work — and the
-    // cached (pre-mutation) load baseline survives for the flush-time
-    // load scans.
-    let lib = Library::cmos025();
-    let circuit = suite::circuit("c880").unwrap();
-    let mut graph = TimingGraph::new(&circuit, &lib, &Sizing::minimum(&circuit, &lib)).unwrap();
-    let g = circuit.gate_ids().nth(circuit.gate_count() / 3).unwrap();
-    let fanin_net = circuit.gate(g).inputs()[0];
-    graph.resize_gate(g, 5.0 * lib.min_drive_ff());
-
-    let before = graph.stats();
-    let lazy_load = graph.net_load_ff(fanin_net);
-    let mid = graph.stats();
-    assert_eq!(
-        mid.forward_flushes, before.forward_flushes,
-        "a load query must not flush"
-    );
-    assert_eq!(
-        mid.gates_reevaluated, before.gates_reevaluated,
-        "a load query must not evaluate arcs"
-    );
-    assert_eq!(mid.load_only_settles, before.load_only_settles + 1);
-
-    // Same bits as the settled state the next flushing query produces,
-    // and the flush itself (driven off the preserved pre-edit baseline)
-    // still lands on the eager answer.
-    let _ = graph.critical_delay_ps();
-    let after = graph.stats();
-    assert_eq!(after.forward_flushes, before.forward_flushes + 1);
-    assert_eq!(
-        graph.net_load_ff(fanin_net).to_bits(),
-        lazy_load.to_bits(),
-        "lazy and settled load answers must agree"
-    );
-    assert_eq!(graph.stats().load_only_settles, after.load_only_settles);
-    assert_matches_eager(&graph, &lib, "after loads-only settle");
+/// Three graphs of one circuit — default budgets, pure drain `(1,1)`
+/// and forced sweep `(0,1)` — take the same resize batches and must
+/// agree bit for bit after each, and with the eager oracles and the
+/// deep-consistency audit at the end.
+fn assert_budget_extremes_agree(
+    circuit: &Circuit,
+    lib: &Library,
+    batches: &[Vec<(GateId, f64)>],
+    label: &str,
+) {
+    let sizing = Sizing::minimum(circuit, lib);
+    let mut dflt = TimingGraph::new(circuit, lib, &sizing).unwrap();
+    let mut drain = TimingGraph::new(circuit, lib, &sizing).unwrap();
+    drain.set_sweep_budgets((1, 1), (1, 1));
+    let mut sweep = TimingGraph::new(circuit, lib, &sizing).unwrap();
+    sweep.set_sweep_budgets((0, 1), (0, 1));
+    let t0 = dflt.critical_delay_ps();
+    for g in [&mut dflt, &mut drain, &mut sweep] {
+        g.set_constraint(0.85 * t0);
+        // Settle the initial backward pass, so the first batch drains.
+        let _ = g.worst_slack_overall_ps();
+    }
+    for (round, batch) in batches.iter().enumerate() {
+        for g in [&mut dflt, &mut drain, &mut sweep] {
+            g.resize_gates(batch.clone());
+        }
+        assert_graphs_bit_equal(
+            &dflt,
+            &drain,
+            &format!("{label} round {round}: default vs drain"),
+        );
+        assert_graphs_bit_equal(
+            &dflt,
+            &sweep,
+            &format!("{label} round {round}: default vs sweep"),
+        );
+    }
+    assert_matches_eager(&dflt, lib, &format!("{label}: budget extremes"));
+    // The knob reports what it was set to.
+    assert_eq!(drain.sweep_budgets(), ((1, 1), (1, 1)));
+    assert_eq!(sweep.sweep_budgets(), ((0, 1), (0, 1)));
+    dflt.verify_state()
+        .unwrap_or_else(|e| panic!("{label}: graph failed the deep-consistency audit: {e}"));
 }
 
 #[test]
@@ -688,33 +570,33 @@ fn sweep_budget_extremes_are_bit_identical() {
     // must land on identical bits after identical mutations: drain and
     // sweep are alternative schedules of the same converged state.
     let lib = Library::cmos025();
-    let circuit = suite::circuit("c880").unwrap();
-    let sizing = Sizing::minimum(&circuit, &lib);
-    let mut dflt = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    let mut drain = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    drain.set_sweep_budgets((1, 1), (1, 1));
-    let mut sweep = TimingGraph::new(&circuit, &lib, &sizing).unwrap();
-    sweep.set_sweep_budgets((0, 1), (0, 1));
-    let t0 = dflt.critical_delay_ps();
-    for g in [&mut dflt, &mut drain, &mut sweep] {
-        g.set_constraint(0.85 * t0);
-    }
+    let cref = lib.min_drive_ff();
 
+    // Random batches on a suite circuit.
+    let circuit = suite::circuit("c880").unwrap();
     let mut rng = SplitMix64::new(0xB0D6_E7E5);
     let gates: Vec<GateId> = circuit.gate_ids().collect();
-    let cref = lib.min_drive_ff();
-    for round in 0..10 {
-        let batch: Vec<(GateId, f64)> = (0..3 + rng.below(6))
-            .map(|_| (*rng.pick(&gates), cref * (1.0 + 20.0 * rng.next_f64())))
-            .collect();
-        for g in [&mut dflt, &mut drain, &mut sweep] {
-            g.resize_gates(batch.clone());
-        }
-        assert_graphs_bit_equal(&dflt, &drain, &format!("round {round}: default vs drain"));
-        assert_graphs_bit_equal(&dflt, &sweep, &format!("round {round}: default vs sweep"));
-    }
-    assert_matches_eager(&dflt, &lib, "budget extremes");
-    // The knob reports what it was set to.
-    assert_eq!(drain.sweep_budgets(), ((1, 1), (1, 1)));
-    assert_eq!(sweep.sweep_budgets(), ((0, 1), (0, 1)));
+    let batches: Vec<Vec<(GateId, f64)>> = (0..10)
+        .map(|_| {
+            (0..3 + rng.below(6))
+                .map(|_| (*rng.pick(&gates), cref * (1.0 + 20.0 * rng.next_f64())))
+                .collect()
+        })
+        .collect();
+    assert_budget_extremes_agree(&circuit, &lib, &batches, "c880");
+
+    // A spread burst on the fabric: an eighth of the gates resized,
+    // evenly spaced, so the seed count sits far below the ¾ forward
+    // budget while the fanout closure is nearly the whole circuit;
+    // then a single-gate probe on top.
+    let circuit = suite::scaling_circuit("synth10k").unwrap();
+    let gates: Vec<GateId> = circuit.gate_ids().collect();
+    let spread: Vec<(GateId, f64)> = gates
+        .iter()
+        .step_by(8)
+        .enumerate()
+        .map(|(i, &g)| (g, cref * (1.5 + 0.01 * (i % 7) as f64)))
+        .collect();
+    let probe = vec![(gates[gates.len() / 2], 2.0 * cref)];
+    assert_budget_extremes_agree(&circuit, &lib, &[spread, probe], "synth10k");
 }
