@@ -5,10 +5,11 @@
 //! nets' loads and its downstream fanout cone. A [`TimingGraph`] is
 //! built once per circuit (caching the topological order, per-gate topo
 //! rank and per-net loads) and then kept consistent through
-//! [`TimingGraph::resize_gate`] / [`TimingGraph::set_options`] mutators
+//! [`TimingGraph::resize_gate`] / [`TimingGraph::set_vt_class`] mutators
 //! that re-evaluate only the affected cone, in rank order, stopping as
 //! soon as re-propagated arrivals and slopes converge onto their cached
-//! values.
+//! values. Structural edits and option changes rebuild instead (see
+//! *Rebuilds* below).
 //!
 //! # Equivalence contract
 //!
@@ -78,12 +79,12 @@
 //! flush to the union cone.
 //!
 //! The **forward** state is lazy under the same generation counter.
-//! Mutations append id-keyed forward seed logs — resized gates, gates a
-//! structural edit touched or created, pending load/slope rescans — and
-//! the first *forward* query (`critical_delay_ps`, `arrival_ps`,
-//! `slope_ps`, `net_load_ff`, `gate_delay_worst_ps`, `critical_path`,
-//! `path_to`, and every [`TimingView`] read) materializes them into the
-//! forward dirty set and drains one merged forward cone. Backward
+//! Mutations append id-keyed forward seed logs — resized gates and
+//! gates whose Vt class changed — and the first *forward* query
+//! (`critical_delay_ps`, `arrival_ps`, `slope_ps`, `net_load_ff`,
+//! `gate_delay_worst_ps`, `critical_path`, `path_to`, and every
+//! [`TimingView`] read) materializes them into the forward dirty set
+//! and drains one merged forward cone. Backward
 //! queries are **two-phase**: they flush forward first (required times
 //! and completion bounds re-derive from final slopes, loads and worst
 //! delays), then drain the backward seeds the forward flush just
@@ -105,6 +106,20 @@
 //! ⅓ backward ([`TimingGraph::set_sweep_budgets`]). The backward drains
 //! also bail to the sweep once their evaluations reach the budget. Both
 //! schedules run the same kernels, so the rule decides cost, never bits.
+//!
+//! # Rebuilds: structural edits and option changes
+//!
+//! [`TimingGraph::apply_edits`] and [`TimingGraph::set_options`] do not
+//! patch the state. They apply the edits or store the options, then
+//! reset the graph: the structure arrays, the model constants and every
+//! slab are re-derived as construction derives them, and the sizing,
+//! Vt classes, options, sweep budgets, stats and constraint carry over.
+//! The reset is as lazy as a resize: it evaluates no arc. The next
+//! forward query pays one full sweep, and the constraint comes back
+//! fully invalidated, so the next backward query pays one full backward
+//! pass. Surgery fires only when sizing stalls (27 edits per
+//! `suite_hard` flowbench pass), and a rebuild with its full re-time
+//! costs about a millisecond on c7552, the largest suite circuit.
 //!
 //! # The worst-slack tournament tree
 //!
@@ -406,10 +421,9 @@ struct ForwardState {
     critical_net: Vec<Option<(NetId, Edge)>>,
 
     /// Dirty gates by topo rank. Populated only *inside* a flush
-    /// (mutators append to the id-keyed seed logs instead, so graph
-    /// surgery can re-rank freely without orphaning pending marks) and
-    /// drained lowest rank first — marks always target strictly higher
-    /// ranks, so no priority queue is needed.
+    /// (mutators append to the id-keyed seed logs instead) and drained
+    /// lowest rank first — marks always target strictly higher ranks,
+    /// so no priority queue is needed.
     dirty: DirtySet,
 
     /// Generation ([`TimingGraph::gen`]) the forward state last flushed
@@ -422,27 +436,17 @@ struct ForwardState {
     /// Mutators only *append* ids here — no rank lookups, no bitset
     /// read-modify-writes — and the flush materializes them into the
     /// rank-keyed dirty set (or discards them when it saturates to the
-    /// full sweep). Entries may repeat; ids are stable across
-    /// append-only surgery, so no translation is needed when ranks are
-    /// reassigned.
+    /// full sweep). Entries may repeat.
     ///
     /// Gates whose drive changed: their fanin nets' loads recompute,
     /// those nets' drivers re-time, and the gate itself re-evaluates.
     resized_log: Vec<GateId>,
-    /// Gates a structural edit touched or created: re-evaluate outright
-    /// (cell, wiring or environment may have changed).
+    /// Gates whose Vt class changed: re-evaluate outright.
     gate_log: Vec<GateId>,
-    /// A structural edit changed connectivity: recompare every net's
-    /// load under the edited structure at flush time (the cached values
-    /// are the pre-edit loads) and re-time the drivers of the ones that
-    /// moved, seeding their backward cones alongside.
-    scan_loads: bool,
-    /// The primary-output latch load changed ([`AnalyzeOptions`]):
-    /// recompute every primary-output net's load and re-time its driver.
-    reload_pos: bool,
-    /// The primary-input transition changed: rewrite every primary
-    /// input's slopes and re-evaluate its fanout gates.
-    reslope_pis: bool,
+    /// The slabs are fresh (construction or a rebuild): the next flush
+    /// times every gate from scratch and discards the seed logs, which
+    /// that sweep subsumes.
+    from_scratch: bool,
 }
 
 /// A dirty set over topo ranks: a bitset plus its member count and the
@@ -546,12 +550,10 @@ impl DirtySet {
     }
 }
 
-/// The circuit-derived arrays of a [`TimingGraph`]: topology, adjacency
-/// and flattened model constants — everything except the floating-point
-/// timing state. Rebuilt wholesale by [`TimingGraph::apply_edits`]
-/// (graph surgery changes ranks and adjacency arbitrarily, and this
-/// rebuild is pure pointer/arena work — the expensive part, arc
-/// re-evaluation, stays confined to the seeded dirty cones).
+/// The circuit-derived arrays of a [`TimingGraph`]: topology and
+/// adjacency — everything except the model constants and the
+/// floating-point timing state. Derived at construction and again by
+/// every rebuild (see the module docs).
 struct Structure {
     topo: Vec<GateId>,
     rank: Vec<u32>,
@@ -674,7 +676,7 @@ fn gate_params_for(lib: &Library, kind: CellKind, class: VtClass) -> GateParams 
 
 /// Flatten the model constants of every gate under every corner,
 /// corner-innermost (`gi * n_corners + c`). Called at construction and
-/// again after surgery (the created gates need constants too).
+/// by every rebuild.
 fn build_gate_params(
     circuit: &Circuit,
     corner_libs: &[Library],
@@ -686,46 +688,6 @@ fn build_gate_params(
         for lib in corner_libs {
             out.push(gate_params_for(lib, kind, vt_class[g.index()]));
         }
-    }
-    out
-}
-
-/// Permute a slot-indexed slab into a new slot layout after surgery:
-/// net ids are stable across append-only edits, so each surviving net
-/// carries its value from its old slot to its new one; created ids
-/// (slots no old net maps to) get `default`. `stride` is the per-slot
-/// entry count (the corner count for the per-corner slabs, 1 for the
-/// corner-invariant ones); a slot's corner lanes move together.
-fn remap_slots<T: Copy>(
-    old: &[T],
-    old_slot_of: &[u32],
-    new_slot_of: &[u32],
-    default: T,
-    stride: usize,
-) -> Vec<T> {
-    let mut out = vec![default; new_slot_of.len() * stride];
-    for net in 0..old_slot_of.len() {
-        let o = old_slot_of[net] as usize * stride;
-        let n = new_slot_of[net] as usize * stride;
-        out[n..n + stride].copy_from_slice(&old[o..o + stride]);
-    }
-    out
-}
-
-/// Permute a position-indexed (rank-major) slab into a new rank layout
-/// after surgery, as [`remap_slots`] but keyed by gate id.
-fn remap_ranks<T: Copy>(
-    old: &[T],
-    old_rank: &[u32],
-    new_rank: &[u32],
-    default: T,
-    stride: usize,
-) -> Vec<T> {
-    let mut out = vec![default; new_rank.len() * stride];
-    for g in 0..old_rank.len() {
-        let o = old_rank[g] as usize * stride;
-        let n = new_rank[g] as usize * stride;
-        out[n..n + stride].copy_from_slice(&old[o..o + stride]);
     }
     out
 }
@@ -781,8 +743,7 @@ struct BackwardState {
     /// ids here — no rank lookups, no bitset read-modify-writes — and
     /// the flush materializes them into the rank-keyed dirty sets (or
     /// discards them wholesale when it saturates to a full sweep).
-    /// Entries may repeat; ids are stable across append-only surgery,
-    /// so no translation is needed when ranks are reassigned.
+    /// Entries may repeat.
     ///
     /// Gates whose drive changed: their fanin nets' required times and
     /// their fanin drivers' fanin required times re-derive.
@@ -797,9 +758,9 @@ struct BackwardState {
     /// Tournament tree over per-net worst finite slacks (root = design
     /// worst); see [`WorstSlackIndex`].
     worst: WorstSlackIndex,
-    /// Every slack may have moved (constraint/option invalidation,
-    /// graph surgery): rebuild the index wholesale at the next flush
-    /// instead of per-leaf updates.
+    /// Every slack may have moved (a fresh constraint or a rebuild):
+    /// rebuild the index wholesale at the next flush instead of
+    /// per-leaf updates.
     refold_all: bool,
 }
 
@@ -866,17 +827,45 @@ impl<'c> TimingGraph<'c> {
         options: &AnalyzeOptions,
     ) -> Result<Self, NetlistError> {
         let s = build_structure(circuit)?;
+        let vt_class = vec![VtClass::Svt; circuit.gate_count()];
+        let graph = Self::assemble(
+            circuit.clone(),
+            lib,
+            corner_libs,
+            vt_class,
+            sizing.clone(),
+            options.clone(),
+            s,
+        );
+        // Initial timing — exactly the full pass of `analyze_with`.
+        // Construction precedes any constraint (no backward state to
+        // seed) and is not counted in the incremental-work stats.
+        graph.sweep_from_scratch(&mut graph.fwd.borrow_mut());
+        Ok(graph)
+    }
+
+    /// A graph over `circuit` with fresh slabs whose forward state is
+    /// pending one full sweep: generation 0, default sweep budgets, no
+    /// constraint, zeroed stats. Shared by construction and
+    /// [`TimingGraph::reset`].
+    fn assemble(
+        circuit: Circuit,
+        lib: &'c Library,
+        corner_libs: Vec<Library>,
+        vt_class: Vec<VtClass>,
+        sizing: Sizing,
+        options: AnalyzeOptions,
+        s: Structure,
+    ) -> Self {
         let n_nets = circuit.net_count();
         let n_gates = circuit.gate_count();
         let nc = corner_libs.len();
-        let vt_class = vec![VtClass::Svt; n_gates];
-        let gate_params = build_gate_params(circuit, &corner_libs, &vt_class);
-
-        let graph = TimingGraph {
-            circuit: circuit.clone(),
+        let gate_params = build_gate_params(&circuit, &corner_libs, &vt_class);
+        TimingGraph {
+            circuit,
             lib,
-            options: options.clone(),
-            sizing: sizing.clone(),
+            options,
+            sizing,
             topo: s.topo,
             rank: s.rank,
             slot_of: s.slot_of,
@@ -909,38 +898,11 @@ impl<'c> TimingGraph<'c> {
                 flushed_gen: 0,
                 resized_log: Vec::new(),
                 gate_log: Vec::new(),
-                scan_loads: false,
-                reload_pos: false,
-                reslope_pis: false,
+                from_scratch: true,
             }),
             backward: RefCell::new(None),
             stats: Cell::new(UpdateStats::default()),
-        };
-        // Initial timing: evaluate every gate once in topological order
-        // — exactly the full pass of `analyze_with`. Construction
-        // precedes any constraint (no backward state to seed) and is
-        // not counted in the incremental-work stats.
-        {
-            let mut fwd = graph.fwd.borrow_mut();
-            for i in 0..n_nets {
-                graph.recompute_net_load(&mut fwd, i);
-            }
-            for i in 0..graph.pis.len() {
-                let pi = graph.pis[i];
-                let slot = graph.slot_of[pi.index()] as usize;
-                // Source conditions are corner-invariant (options, not
-                // process): every corner lane starts identically.
-                for c in 0..nc {
-                    for e in EDGES {
-                        fwd.arrival[slot * nc + c][eidx(e)] = 0.0;
-                        fwd.slope[slot * nc + c][eidx(e)] = graph.options.input_transition_ps;
-                    }
-                }
-            }
-            graph.full_forward_sweep(&mut fwd, None);
-            graph.recompute_critical(&mut fwd);
         }
-        Ok(graph)
     }
 
     /// The circuit this graph times. After [`TimingGraph::apply_edits`]
@@ -981,7 +943,7 @@ impl<'c> TimingGraph<'c> {
     /// * **dirty-set vs generation agreement** — every dirty set's
     ///   popcount matches its maintained count, and state flushed to the
     ///   current mutation generation holds no pending marks, seed-log
-    ///   entries or rescan flags;
+    ///   entries or pending full sweep;
     /// * **worst-slack tree agreement** — every leaf bit-matches an
     ///   independent refold of the required/arrival slabs and every
     ///   internal node (the root included) the min of its children;
@@ -1073,7 +1035,7 @@ impl<'c> TimingGraph<'c> {
 
         // Dirty bookkeeping vs generation agreement. The flushes above
         // settled everything to the current generation, so every mark,
-        // seed log and rescan flag must now be clear.
+        // seed log and the pending-sweep marker must now be clear.
         fwd.dirty.check("forward").or_else(corrupt)?;
         if fwd.flushed_gen != self.gen {
             return corrupt(format!(
@@ -1084,19 +1046,15 @@ impl<'c> TimingGraph<'c> {
         if !fwd.dirty.is_empty()
             || !fwd.resized_log.is_empty()
             || !fwd.gate_log.is_empty()
-            || fwd.scan_loads
-            || fwd.reload_pos
-            || fwd.reslope_pis
+            || fwd.from_scratch
         {
             return corrupt(format!(
                 "flushed forward state still dirty: {} marks, {} resize seeds, {} gate seeds, \
-                 flags {}/{}/{}",
+                 full sweep pending {}",
                 fwd.dirty.len(),
                 fwd.resized_log.len(),
                 fwd.gate_log.len(),
-                fwd.scan_loads,
-                fwd.reload_pos,
-                fwd.reslope_pis
+                fwd.from_scratch
             ));
         }
 
@@ -1453,63 +1411,46 @@ impl<'c> TimingGraph<'c> {
         Ok(())
     }
 
-    /// Switch to new analysis options. What they touch (all
-    /// primary-output loads and/or all primary-input slopes) re-times
-    /// lazily at the next forward query; any maintained backward state
-    /// is invalidated wholesale — a latch load shifts every
-    /// primary-output arc, an input slope every source arc — and the
-    /// next backward query pays one full backward pass.
+    /// Switch to new analysis options, then rebuild (see the module
+    /// docs): the next forward query pays one full sweep, and any
+    /// backward state comes back fully invalidated, so the next
+    /// backward query pays one full backward pass.
     pub fn set_options(&mut self, options: &AnalyzeOptions) {
         if self.options == *options {
             return;
         }
-        self.gen = self.gen.wrapping_add(1);
-        let po_changed = self.options.po_load_ff != options.po_load_ff;
-        let slope_changed = self.options.input_transition_ps != options.input_transition_ps;
-        self.options = options.clone();
-
-        let fwd = self.fwd.get_mut();
-        if po_changed {
-            fwd.reload_pos = true;
-        }
-        if slope_changed {
-            fwd.reslope_pis = true;
-        }
-        self.stat(|s| s.updates += 1);
-        self.invalidate_backward();
+        self.reset(
+            self.circuit.clone(),
+            self.sizing.clone(),
+            options.clone(),
+            0,
+        )
+        .expect("the graph's own circuit rebuilds");
     }
 
     /// Apply a batch of structural edits — buffer insertions, gate
-    /// replacements, De Morgan rewrites — to the circuit *and* patch the
-    /// timing state around them, instead of rebuilding from scratch.
+    /// replacements, De Morgan rewrites — to the circuit, then rebuild
+    /// the graph on the edited circuit (see the module docs).
     ///
-    /// On the first call the graph's circuit handle copies the netlist
-    /// it shares with the caller (copy-on-write: the caller's original is
-    /// never mutated); from then on [`TimingGraph::circuit`] is the
-    /// authoritative, edited netlist. The graph then
+    /// The plan applies to a copy-on-write copy of the graph's circuit
+    /// (the caller's original is never mutated); from then on
+    /// [`TimingGraph::circuit`] is the authoritative, edited netlist.
+    /// Edits are append-only, so every pre-existing id stays valid.
+    /// Created gates enter at their planned sizes, clamped to the
+    /// library minimum, in [`VtClass::Svt`]; every other gate keeps its
+    /// size and Vt class, and the options, sweep budgets, stats and
+    /// constraint carry over. No arc is evaluated here: the next
+    /// forward query pays one full sweep, the next backward query one
+    /// full backward pass.
     ///
-    /// 1. applies the plan through the [`Circuit`] surgery primitives
-    ///    (append-only: every pre-existing id stays valid),
-    /// 2. rebuilds its structural arrays — topological ranks, flattened
-    ///    adjacency, per-gate model constants — pure arena work with no
-    ///    arc evaluations,
-    /// 3. extends the per-gate/per-net timing state for the created ids
-    ///    (new gates enter at their planned sizes, clamped to the
-    ///    library minimum; new nets start unreached),
-    /// 4. seeds the forward and backward dirty cones from the edit log:
-    ///    every net whose load moved re-times its driver, every gate
-    ///    whose cell/wiring changed re-evaluates, new gates evaluate for
-    ///    the first time — and the usual bitwise-convergence propagation
-    ///    confines the floating-point work to the affected cones.
-    ///
-    /// After the call every queryable value — arrivals, slopes, loads,
-    /// required times, slacks, k-paths completion bounds — is
-    /// **bit-identical** to a from-scratch [`TimingGraph`] built on the
-    /// edited circuit under the same sizing, options and constraint
+    /// Every queryable value is then **bit-identical** to a
+    /// from-scratch [`TimingGraph`] built on the edited circuit under
+    /// the same sizing, Vt classes, options and constraint
     /// (`tests/surgery_equivalence.rs` asserts this after every edit of
     /// random surgery/resize mixes).
     ///
-    /// Returns the per-op [`AppliedEdit`] log (created gate/net ids).
+    /// Returns the per-op [`AppliedEdit`] log (created gates and their
+    /// planned sizes).
     ///
     /// # Errors
     ///
@@ -1518,31 +1459,42 @@ impl<'c> TimingGraph<'c> {
     /// *before* anything is applied, so it cannot abort a long flow run
     /// or leave the graph half-edited. Past validation, the first
     /// failing op's [`NetlistError`] propagates; ops before it stay
-    /// applied — the graph re-synchronizes its state to the partially
-    /// edited circuit before returning, so it remains consistent and
-    /// usable even on error.
+    /// applied and the graph rebuilds on the partially edited circuit,
+    /// so it remains consistent and usable even on error.
     pub fn apply_edits(&mut self, plan: &EditPlan) -> Result<Vec<AppliedEdit>, NetlistError> {
         if plan.is_empty() {
             return Ok(Vec::new());
         }
         plan.validate(&self.circuit)?;
+        // Edit a copy, so the graph stays untouched until every
+        // fallible step below has passed.
+        let mut circuit = self.circuit.clone();
         let mut applied = Vec::with_capacity(plan.len());
         let mut first_err = None;
-        {
-            let circuit = &mut self.circuit;
-            for op in plan.ops() {
-                match op.apply_to(circuit) {
-                    Ok(a) => applied.push(a),
-                    Err(e) => {
-                        // Resync to the applied prefix below so the
-                        // graph stays consistent with its circuit.
-                        first_err = Some(e);
-                        break;
-                    }
+        for op in plan.ops() {
+            match op.apply_to(&mut circuit) {
+                Ok(a) => applied.push(a),
+                Err(e) => {
+                    first_err = Some(e);
+                    break;
                 }
             }
         }
-        self.resync_after_surgery(&applied)?;
+        if !applied.is_empty() {
+            // Key the created gates' sizes by id: a gapped or duplicated
+            // id set is a typed error rather than mis-sized gates.
+            let min_drive = self.lib.min_drive_ff();
+            let mut sizing = self.sizing.clone();
+            sizing
+                .try_extend_dense(applied.iter().flat_map(|edit| {
+                    edit.new_gates
+                        .iter()
+                        .zip(&edit.new_gate_cin_ff)
+                        .map(|(&g, &cin)| (g, cin.max(min_drive)))
+                }))
+                .map_err(|e| NetlistError::InvalidId(e.to_string()))?;
+            self.reset(circuit, sizing, self.options.clone(), applied.len())?;
+        }
         match first_err {
             Some(e) => Err(e),
             None => Ok(applied),
@@ -1561,181 +1513,43 @@ impl<'c> TimingGraph<'c> {
         self.apply_edits(plan).map_err(StaError::from)
     }
 
-    /// Rebuild structure, extend state and seed the lazy re-time after
-    /// the circuit was surgically edited. `applied` carries the created
-    /// ids and suggested sizes; conservative seeding beyond it (the
-    /// flush-time load-change scan over all nets) covers any edit the
-    /// log understates. No arc is evaluated here — the whole cone
-    /// re-time is deferred to the first timing query.
-    fn resync_after_surgery(&mut self, applied: &[AppliedEdit]) -> Result<(), NetlistError> {
-        let s = build_structure(&self.circuit)?;
-        let n_gates = s.topo.len();
-        let n_nets = s.net_driver.len();
-        let nc = self.corner_libs.len();
-        assert!(
-            n_nets.saturating_mul(nc) < (1usize << 31),
-            "net-slot × corner space must fit in 31 bits"
-        );
-
-        // Pending lazy seeds live in the id-keyed logs, which survive
-        // append-only surgery untouched. The rank-keyed backward dirty
-        // sets are populated outside a flush only by a wholesale
-        // invalidation (constraint/option change with no query since):
-        // remember that and re-invalidate under the new ranks below.
-        let (req_invalidated, comp_invalidated) = match self.backward.get_mut().as_ref() {
-            Some(bw) => (!bw.req.is_empty(), !bw.comp.is_empty()),
-            None => (false, false),
-        };
-
-        // Surgery re-ranks arbitrarily, and the slabs are
-        // keyed by slot/position — keep the old keys to permute the
-        // surviving state into the new layout below.
-        let old_slot_of = std::mem::replace(&mut self.slot_of, s.slot_of);
-        let old_rank = std::mem::replace(&mut self.rank, s.rank);
-        self.topo = s.topo;
-        self.n_src = s.n_src;
-        self.net_driver = s.net_driver;
-        self.cell = s.cell;
-        // Created gates enter in the default Vt variant; surviving
-        // gates keep theirs (ids are stable across append-only
-        // surgery, so no remap is needed). The constants rebuild
-        // wholesale — pure arithmetic over the corner libraries, no
-        // arc evaluations.
-        self.vt_class.resize(n_gates, VtClass::Svt);
-        self.gate_params = build_gate_params(&self.circuit, &self.corner_libs, &self.vt_class);
-        self.out_net = s.out_net;
-        self.fanin = s.fanin;
-        self.fanin_off = s.fanin_off;
-        self.fanin_slots = s.fanin_slots;
-        self.fanout = s.fanout;
-        self.fanout_off = s.fanout_off;
-        self.is_po = s.is_po;
-        self.pis = s.pis;
-        self.pos = s.pos;
-
-        // Per-gate / per-net timing state: existing entries keep their
-        // values (they are still bit-correct wherever the edits did not
-        // reach) — permuted into the new slot/rank layout — and new ids
-        // get neutral initial state. The forward dirty set is
-        // populated only inside a flush and every flush drains it
-        // before returning, so re-ranking cannot orphan a pending mark;
-        // the id-keyed seed logs survive as they are.
-        {
-            let fwd = self.fwd.get_mut();
-            debug_assert!(fwd.dirty.is_empty(), "surgery over a drained queue");
-            fwd.arrival = remap_slots(
-                &fwd.arrival,
-                &old_slot_of,
-                &self.slot_of,
-                [f64::NEG_INFINITY; 2],
-                nc,
-            );
-            fwd.slope = remap_slots(&fwd.slope, &old_slot_of, &self.slot_of, [0.0; 2], nc);
-            fwd.pred = remap_slots(&fwd.pred, &old_slot_of, &self.slot_of, [None, None], nc);
-            fwd.load = remap_slots(&fwd.load, &old_slot_of, &self.slot_of, 0.0, 1);
-            fwd.gate_delay_worst =
-                remap_ranks(&fwd.gate_delay_worst, &old_rank, &self.rank, 0.0, nc);
-            fwd.dirty = DirtySet::new(n_gates);
-            // Load deltas are detected lazily: the cached loads are
-            // still the pre-edit values, so the flush recompares every
-            // net under the edited structure and seeds the drivers of
-            // the ones that moved (forward *and* backward).
-            fwd.scan_loads = true;
+    /// Rebuild the graph on `circuit` under `sizing` and `options`:
+    /// structure arrays, model constants and fresh slabs, exactly as
+    /// construction derives them, with the forward state pending one
+    /// full sweep. Vt classes (created gates as [`VtClass::Svt`]), sweep
+    /// budgets and stats carry over (one more update, `edits` more
+    /// structural edits), and a constraint comes back as a fully
+    /// invalidated backward state. The generation advances. Evaluates
+    /// no arc.
+    ///
+    /// # Errors
+    ///
+    /// As [`TimingGraph::new`]; the graph is untouched on error.
+    fn reset(
+        &mut self,
+        circuit: Circuit,
+        sizing: Sizing,
+        options: AnalyzeOptions,
+        edits: usize,
+    ) -> Result<(), NetlistError> {
+        let s = build_structure(&circuit)?;
+        let mut vt_class = std::mem::take(&mut self.vt_class);
+        vt_class.resize(circuit.gate_count(), VtClass::Svt);
+        let corner_libs = std::mem::take(&mut self.corner_libs);
+        let mut next = Self::assemble(circuit, self.lib, corner_libs, vt_class, sizing, options, s);
+        next.gen = self.gen.wrapping_add(1);
+        next.fwd.get_mut().flushed_gen = self.gen;
+        next.fwd_budget = self.fwd_budget;
+        next.bwd_budget = self.bwd_budget;
+        let mut stats = self.stats.get();
+        stats.updates += 1;
+        stats.structural_edits += edits;
+        next.stats.set(stats);
+        if let Some(tc_ps) = self.constraint_ps() {
+            next.start_backward(tc_ps);
         }
-        // Extend the sizing for the created gates, keyed by id — the
-        // edit log lists each op's gates in creation order, but keying
-        // (instead of trusting the traversal order) pins every size to
-        // its gate regardless of log order, and makes a gapped or
-        // duplicated id set a typed error rather than mis-sized gates.
-        let min_drive = self.lib.min_drive_ff();
-        self.sizing
-            .try_extend_dense(applied.iter().flat_map(|edit| {
-                edit.new_gates
-                    .iter()
-                    .zip(&edit.new_gate_cin_ff)
-                    .map(|(&g, &cin)| (g, cin.max(min_drive)))
-            }))
-            .map_err(|e| NetlistError::InvalidId(e.to_string()))?;
-        assert_eq!(self.sizing.len(), n_gates, "one size per gate");
-        {
-            let pis = &self.pis;
-            let (new_slot_of, new_rank) = (&self.slot_of, &self.rank);
-            if let Some(bw) = self.backward.get_mut().as_mut() {
-                bw.required = remap_slots(
-                    &bw.required,
-                    &old_slot_of,
-                    new_slot_of,
-                    [f64::INFINITY; 2],
-                    nc,
-                );
-                bw.completion =
-                    remap_ranks(&bw.completion, &old_rank, new_rank, f64::NEG_INFINITY, nc);
-                // The dirty sets restart empty at the new sizes; a
-                // pending invalidation re-marks everything under the
-                // new ranks. The id-keyed seed logs survive as they are.
-                bw.req = DirtySet::new(n_gates);
-                bw.comp = DirtySet::new(n_gates);
-                bw.pi_bits = vec![0u64; n_nets.div_ceil(64)];
-                bw.pi_dirty.clear();
-                if req_invalidated {
-                    Self::mark_all_required(bw, n_gates, pis);
-                }
-                if comp_invalidated {
-                    Self::mark_all_completion(bw, n_gates);
-                }
-                // The edit moved loads/drivers arbitrarily: refold the
-                // worst-slack index wholesale at the next flush (its
-                // leaf space just grew, and the O(nets) refold is noise
-                // next to this rebuild's own O(V+E)).
-                bw.refold_all = true;
-            }
-        }
-
-        // Seed the connectivity deltas from the edit log: nets whose
-        // fanout set or driver changed, gates whose cell/wiring changed
-        // and every created gate. (Load deltas are the flush-time scan
-        // scheduled above.) Over-seeding is safe (the bitwise
-        // convergence cut discards no-op re-evaluations); the goal is
-        // only to never under-seed.
-        for edit in applied {
-            for &net in edit.touched_nets.iter().chain(&edit.new_nets) {
-                self.log_required_net(net);
-                if let Some(driver) = self.net_driver[net.index()] {
-                    self.seed_edited_gate(driver);
-                }
-                let (lo, hi) = (
-                    self.fanout_off[net.index()] as usize,
-                    self.fanout_off[net.index() + 1] as usize,
-                );
-                for i in lo..hi {
-                    let g = self.fanout[i];
-                    self.seed_edited_gate(g);
-                }
-            }
-            for &g in edit.touched_gates.iter().chain(&edit.new_gates) {
-                self.seed_edited_gate(g);
-            }
-        }
-
-        self.gen = self.gen.wrapping_add(1);
-        self.stat(|s| {
-            s.updates += 1;
-            s.structural_edits += applied.len();
-        });
+        *self = next;
         Ok(())
-    }
-
-    /// Log one gate whose cell, wiring, drive or environment a
-    /// structural edit may have changed: re-evaluate it forward at the
-    /// next flush, and re-derive its completion bound and its fanin
-    /// required times at the next backward flush (the resized-log
-    /// expansion covers the fanins).
-    fn seed_edited_gate(&mut self, g: GateId) {
-        self.fwd.get_mut().gate_log.push(g);
-        if let Some(bw) = self.backward.get_mut().as_mut() {
-            bw.comp_gate_log.push(g);
-            bw.resized_log.push(g);
-        }
     }
 
     // ---- query surface (mirrors `TimingReport`) ----
@@ -1913,11 +1727,23 @@ impl<'c> TimingGraph<'c> {
                 return Ok(());
             }
         }
-        let n_nets = self.circuit.net_count();
-        let n_gates = self.circuit.gate_count();
-        let nc = self.corner_libs.len();
         self.gen = self.gen.wrapping_add(1);
-        *self.backward.get_mut() = Some(BackwardState {
+        self.start_backward(tc_ps);
+        Ok(())
+    }
+
+    /// Start maintaining a fresh backward state under `tc_ps`, fully
+    /// invalidated *lazily*: every driven net, primary input and gate
+    /// is marked dirty and the worst-slack index is due a wholesale
+    /// refold, without draining — the next backward query pays one full
+    /// backward pass. Required times are subtract-chains from `tc`, not
+    /// offsets, so a new constraint (or a rebuild) cannot seed
+    /// incrementally.
+    fn start_backward(&mut self, tc_ps: f64) {
+        let n_nets = self.circuit.net_count();
+        let n_gates = self.topo.len();
+        let nc = self.corner_libs.len();
+        let mut bw = BackwardState {
             tc_ps,
             required: vec![[f64::INFINITY; 2]; n_nets * nc],
             completion: vec![f64::NEG_INFINITY; n_gates * nc],
@@ -1934,10 +1760,16 @@ impl<'c> TimingGraph<'c> {
             comp_gate_log: Vec::new(),
             slack_net_log: Vec::new(),
             worst: WorstSlackIndex::new(n_nets),
-            refold_all: false,
-        });
-        self.invalidate_backward();
-        Ok(())
+            refold_all: true,
+        };
+        // The flush recognizes the saturated counts and runs the full
+        // sweeps directly.
+        bw.req.fill(n_gates);
+        bw.comp.fill(n_gates);
+        for &pi in &self.pis {
+            mark_pi(&mut bw.pi_bits, &mut bw.pi_dirty, pi);
+        }
+        *self.backward.get_mut() = Some(bw);
     }
 
     /// Stop maintaining the backward state (forward-only mutations get
@@ -2019,17 +1851,6 @@ impl<'c> TimingGraph<'c> {
     pub fn worst_slack_ps(&self, net: NetId) -> f64 {
         self.slack_ps(net, EdgeDir::Rising)
             .min(self.slack_ps(net, EdgeDir::Falling))
-    }
-
-    /// Worst (most negative) slack over both edges of a net, on one
-    /// corner.
-    ///
-    /// # Panics
-    ///
-    /// As [`TimingGraph::required_ps`]; also if `corner >= n_corners()`.
-    pub fn worst_slack_ps_corner(&self, net: NetId, corner: usize) -> f64 {
-        self.slack_ps_corner(net, EdgeDir::Rising, corner)
-            .min(self.slack_ps_corner(net, EdgeDir::Falling, corner))
     }
 
     /// Worst finite slack over the whole design **and all corners**;
@@ -2149,16 +1970,49 @@ impl<'c> TimingGraph<'c> {
             return;
         }
         fwd.flushed_gen = self.gen;
-        if !fwd.scan_loads
-            && !fwd.reload_pos
-            && !fwd.reslope_pis
-            && fwd.resized_log.is_empty()
-            && fwd.gate_log.is_empty()
-        {
+        if fwd.from_scratch {
+            self.sweep_from_scratch(&mut fwd);
+            self.stat(|s| {
+                s.forward_flushes += 1;
+                s.gates_reevaluated += self.topo.len();
+            });
+            return;
+        }
+        if fwd.resized_log.is_empty() && fwd.gate_log.is_empty() {
             return;
         }
         let mut guard = self.backward.borrow_mut();
         self.run_forward_flush(&mut fwd, guard.as_mut());
+    }
+
+    /// Time fresh slabs from scratch — exactly the full pass of
+    /// `analyze_with`: every net's load, the primary-input sources, one
+    /// sweep over every gate in topological order and the critical
+    /// outputs. Discards the seed logs the sweep subsumes. Deposits no
+    /// backward seeds: fresh slabs come only from construction (no
+    /// constraint yet) or a rebuild, whose backward state is itself
+    /// fully invalidated.
+    fn sweep_from_scratch(&self, fwd: &mut ForwardState) {
+        let nc = self.corner_libs.len();
+        for net in 0..self.slot_of.len() {
+            self.recompute_net_load(fwd, net);
+        }
+        for &pi in &self.pis {
+            let slot = self.slot(pi);
+            // Source conditions are corner-invariant (options, not
+            // process): every corner lane starts identically.
+            for c in 0..nc {
+                for e in EDGES {
+                    fwd.arrival[slot * nc + c][eidx(e)] = 0.0;
+                    fwd.slope[slot * nc + c][eidx(e)] = self.options.input_transition_ps;
+                }
+            }
+        }
+        self.full_forward_sweep(fwd, None);
+        self.recompute_critical(fwd);
+        fwd.resized_log.clear();
+        fwd.gate_log.clear();
+        fwd.from_scratch = false;
     }
 
     /// Materialize the forward seed logs into the dirty set, then drain
@@ -2173,65 +2027,14 @@ impl<'c> TimingGraph<'c> {
     /// drained here — the seeds the walk deposits into `bw` (slope,
     /// delay and arrival changes) stay pending until the next backward
     /// query's lazy flush.
-    fn run_forward_flush(&self, fwd: &mut ForwardState, mut bw: Option<&mut BackwardState>) {
+    fn run_forward_flush(&self, fwd: &mut ForwardState, bw: Option<&mut BackwardState>) {
         let n_gates = self.topo.len();
-        let n_nets = self.net_driver.len();
 
         // Materialize the pending seeds. Loads are recomputed exactly
         // (same summation order as the full pass — no delta
         // accumulation); marking is unconditional where the eager
         // engine marked unconditionally, so the convergence cut — not
         // the seeding — decides what actually re-evaluates.
-        if fwd.scan_loads {
-            fwd.scan_loads = false;
-            // Surgery changed connectivity: recompare every net's load
-            // against its cached (pre-edit) value and treat a changed
-            // net like a resized fanin net — its driver re-times and
-            // its backward state re-derives (arcs through the driver
-            // moved with its output load).
-            for net in 0..n_nets {
-                let slot = self.slot_of[net] as usize;
-                let old = fwd.load[slot];
-                self.recompute_net_load(fwd, net);
-                if old.to_bits() == fwd.load[slot].to_bits() {
-                    continue;
-                }
-                if let Some(driver) = self.net_driver[net] {
-                    self.mark_dirty(fwd, driver);
-                    if let Some(bw) = bw.as_deref_mut() {
-                        bw.resized_log.push(driver);
-                        bw.comp_gate_log.push(driver);
-                    }
-                }
-            }
-        }
-        if fwd.reload_pos {
-            fwd.reload_pos = false;
-            for i in 0..self.pos.len() {
-                let net = self.pos[i];
-                self.recompute_net_load(fwd, net.index());
-                if let Some(driver) = self.net_driver[net.index()] {
-                    self.mark_dirty(fwd, driver);
-                }
-            }
-        }
-        if fwd.reslope_pis {
-            fwd.reslope_pis = false;
-            let nc = self.corner_libs.len();
-            for i in 0..self.pis.len() {
-                let pi = self.pis[i];
-                let slot = self.slot(pi);
-                for c in 0..nc {
-                    for e in EDGES {
-                        fwd.slope[slot * nc + c][eidx(e)] = self.options.input_transition_ps;
-                    }
-                }
-                let (lo, hi) = (self.fanout_off[pi.index()], self.fanout_off[pi.index() + 1]);
-                for j in lo..hi {
-                    self.mark_dirty(fwd, self.fanout[j as usize]);
-                }
-            }
-        }
         let mut resized = std::mem::take(&mut fwd.resized_log);
         for gate in resized.drain(..) {
             // The fanin nets' loads moved with the gate's C_IN: their
@@ -2256,9 +2059,9 @@ impl<'c> TimingGraph<'c> {
         // because `eval_gate` already hoists its arc terms once per
         // *gate*: the sweep saves only the dirty-set bookkeeping and
         // fanout marking, so it wins only when nearly every rank is
-        // dirty (option rescans, post-surgery load scans, wide batch
-        // unions), never on merged probe cones. For the same reason the
-        // cut-over is decided *only* here, at materialization time —
+        // dirty (wide batch unions), never on merged probe cones. For
+        // the same reason the cut-over is decided *only* here, at
+        // materialization time —
         // every gate drains at most once, so finishing a started drain
         // is always ≤ n evaluations plus marking, while bailing
         // mid-drain would re-pay the drained prefix on top of the full
@@ -2419,14 +2222,6 @@ impl<'c> TimingGraph<'c> {
 
     // ---- backward internals ----
 
-    /// Log a net whose required times must re-derive at the next flush
-    /// (no-op without backward state).
-    fn log_required_net(&mut self, net: NetId) {
-        if let Some(bw) = self.backward.get_mut().as_mut() {
-            bw.req_net_log.push(net);
-        }
-    }
-
     /// Mark a net required-dirty (flush-internal: the seed logs and the
     /// drain's cone expansion). Driven nets key on their driver's rank;
     /// driverless nets go to the sink list.
@@ -2447,45 +2242,6 @@ impl<'c> TimingGraph<'c> {
     fn fanin_nets(&self, gate: GateId) -> &[NetId] {
         &self.fanin
             [self.fanin_off[gate.index()] as usize..self.fanin_off[gate.index() + 1] as usize]
-    }
-
-    /// Invalidate the whole backward state *lazily*: mark every driven
-    /// net, primary input and gate dirty and schedule a wholesale
-    /// worst-slack refold, without draining — the next backward query
-    /// pays one full backward pass. Used where incremental seeding is
-    /// unsound: constraint changes (required times are subtract-chains
-    /// from `tc`, not offsets) and option changes (every primary-output
-    /// arc and/or source arc moves).
-    fn invalidate_backward(&mut self) {
-        let n_gates = self.topo.len();
-        let pis = &self.pis;
-        let Some(bw) = self.backward.get_mut().as_mut() else {
-            return;
-        };
-        Self::mark_all_required(bw, n_gates, pis);
-        Self::mark_all_completion(bw, n_gates);
-    }
-
-    /// Mark every driven net and primary input required-dirty and
-    /// schedule the wholesale index refold; pending required seed logs
-    /// are subsumed and discarded. The flush recognizes the saturated
-    /// count and runs the gate-centric full sweep directly.
-    fn mark_all_required(bw: &mut BackwardState, n_gates: usize, pis: &[NetId]) {
-        bw.req.fill(n_gates);
-        for &pi in pis {
-            mark_pi(&mut bw.pi_bits, &mut bw.pi_dirty, pi);
-        }
-        bw.resized_log.clear();
-        bw.req_net_log.clear();
-        bw.slack_net_log.clear();
-        bw.refold_all = true;
-    }
-
-    /// Mark every gate completion-dirty; pending completion seed logs
-    /// are subsumed and discarded.
-    fn mark_all_completion(bw: &mut BackwardState, n_gates: usize) {
-        bw.comp.fill(n_gates);
-        bw.comp_gate_log.clear();
     }
 
     /// The required-time side of the lazy flush: drain the accumulated
@@ -2664,7 +2420,7 @@ impl<'c> TimingGraph<'c> {
         // once per query.
         // Leaves are keyed by *slot* — a bijection of the nets, so the
         // root min folds the same value multiset as a net-keyed tree
-        // (bit-identical worst; surgery re-keys under `refold_all`).
+        // (bit-identical worst).
         let n_nets = self.slot_of.len();
         let nc = self.corner_libs.len();
         if bw.refold_all || bw.slack_net_log.len() > n_nets / 4 {
@@ -3525,7 +3281,7 @@ mod tests {
             graph.n_corners(),
         );
         let rise = EdgeDir::Rising;
-        let queries: [(&str, &dyn Fn() -> f64); 8] = [
+        let queries: [(&str, &dyn Fn() -> f64); 7] = [
             ("critical_delay_ps_corner", &|| {
                 graph.critical_delay_ps_corner(bad)
             }),
@@ -3540,9 +3296,6 @@ mod tests {
                 graph.required_ps_corner(net, rise, bad)
             }),
             ("slack_ps_corner", &|| graph.slack_ps_corner(net, rise, bad)),
-            ("worst_slack_ps_corner", &|| {
-                graph.worst_slack_ps_corner(net, bad)
-            }),
             ("worst_slack_overall_ps_corner", &|| {
                 graph.worst_slack_overall_ps_corner(bad).unwrap_or(0.0)
             }),

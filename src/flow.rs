@@ -9,7 +9,8 @@
 //! modifications to the netlist: over-limit nets of the stalled paths
 //! get Inv-pair buffers (§4.1), over-limit NORs their De Morgan
 //! rewrite (§4.2), both as an [`EditPlan`] written back through
-//! [`TimingGraph::apply_edits`], which re-times only the edited cones.
+//! [`TimingGraph::apply_edits`], which rebuilds the timing state on the
+//! edited netlist and re-times it at the next query.
 
 use std::collections::{HashMap, HashSet};
 
@@ -168,7 +169,8 @@ pub struct FlowResult {
 /// modifications to the netlist itself: Inv-pair buffers on the stalled
 /// paths' over-limit nets (keeping the on-path successor direct) and
 /// De Morgan rewrites of their over-limit NORs, written back via
-/// [`TimingGraph::apply_edits`] so only the edited cones re-time.
+/// [`TimingGraph::apply_edits`], which rebuilds the timing state on the
+/// edited netlist (one full re-time at the next query).
 /// Repeat until the constraint holds at every output or the round
 /// budget is exhausted.
 ///
@@ -209,12 +211,13 @@ pub fn optimize_circuit(
     assert!(tc_ps > 0.0, "constraint must be positive");
     // The timing picture is built once and kept consistent through
     // incremental dirty-cone updates that are *lazy in both
-    // directions*: a whole round's batched resizes and structural edits
-    // only accumulate id-keyed seeds — no `resize_gates` or
-    // `apply_edits` call below forces a forward pass — and the first
-    // timing read of the next round flushes them as one merged
-    // forward-then-backward cone (so overlapping per-path write-backs
-    // deduplicate instead of each paying its own propagation). Setting
+    // directions*: a whole round's batched resizes only accumulate
+    // id-keyed seeds, and a structural edit only rebuilds the graph's
+    // arrays — no `resize_gates` or `apply_edits` call below forces a
+    // forward pass — and the first timing read of the next round
+    // flushes them as one merged forward-then-backward cone (so
+    // overlapping per-path write-backs deduplicate instead of each
+    // paying its own propagation). Setting
     // the constraint additionally maintains the backward state —
     // per-net required times, the k-paths completion bounds and the
     // worst-slack tournament tree — under the same generation counter;
@@ -332,7 +335,7 @@ pub fn optimize_circuit(
         // their sizing-only Tmin *and* no critical-delay progress this
         // round — and slack is still negative, buffer the stalled
         // paths' over-limit nets and De Morgan their over-limit NORs,
-        // then re-time the cones.
+        // then re-time.
         let sizing_plateaued = graph.critical_delay_ps() >= round_entry_delay - 1e-9;
         if options.apply_structure
             && sizing_plateaued

@@ -185,8 +185,8 @@ fn random_corner_twin_sequence(circuit: Circuit, seed: u64, steps: usize, check_
                 }
             }
             1 => {
-                // Structural surgery: re-levels, re-ranks and re-slots
-                // the widened slabs under pending seeds in every twin.
+                // Structural surgery: rebuilds the widened slabs under
+                // pending seeds in every twin.
                 if let Some(plan) = random_buffer_plan(&fused, &lib, &mut rng) {
                     fused.apply_edits(&plan).expect("valid edit");
                     for g in &mut twins {
@@ -195,7 +195,7 @@ fn random_corner_twin_sequence(circuit: Circuit, seed: u64, steps: usize, check_
                 }
             }
             2 => {
-                // Option change: the full-rescan path on every corner.
+                // Option change: a rebuild on every corner.
                 let options = AnalyzeOptions {
                     po_load_ff: 5.0 + 40.0 * rng.next_f64(),
                     input_transition_ps: 20.0 + 100.0 * rng.next_f64(),
@@ -343,4 +343,147 @@ fn fused_flush_does_sublinear_corner_work() {
         fused_evals * 2 < twin_evals,
         "fused {fused_evals} evals should be near one corner's share of {twin_evals}"
     );
+}
+
+/// Every corner of `graph` bit-matches a graph built from scratch on its
+/// circuit with the same sizing and options, its Vt classes replayed
+/// and `tc_ps` set: arrivals, slopes, required times, the per-corner
+/// worst slack and the critical path.
+fn assert_matches_scratch(graph: &TimingGraph, lib: &Library, tc_ps: f64, label: &str) {
+    let circuit = graph.circuit();
+    let mut scratch =
+        TimingGraph::with_corners(circuit, lib, graph.sizing(), graph.options(), &corners())
+            .unwrap();
+    for g in circuit.gate_ids() {
+        scratch.set_vt_class(g, graph.vt_class(g));
+    }
+    assert_eq!(graph.constraint_ps(), Some(tc_ps), "{label}: constraint");
+    scratch.set_constraint(tc_ps);
+    for c in 0..graph.n_corners() {
+        for net in circuit.net_ids() {
+            for dir in [EdgeDir::Rising, EdgeDir::Falling] {
+                assert_eq!(
+                    graph.arrival_ps_corner(net, dir, c).to_bits(),
+                    scratch.arrival_ps_corner(net, dir, c).to_bits(),
+                    "{label}: corner {c} arrival of {net} {dir:?}"
+                );
+                assert_eq!(
+                    graph.slope_ps_corner(net, dir, c).to_bits(),
+                    scratch.slope_ps_corner(net, dir, c).to_bits(),
+                    "{label}: corner {c} slope of {net} {dir:?}"
+                );
+                assert_eq!(
+                    graph.required_ps_corner(net, dir, c).to_bits(),
+                    scratch.required_ps_corner(net, dir, c).to_bits(),
+                    "{label}: corner {c} required of {net} {dir:?}"
+                );
+            }
+        }
+        assert_eq!(
+            graph.worst_slack_overall_ps_corner(c).map(f64::to_bits),
+            scratch.worst_slack_overall_ps_corner(c).map(f64::to_bits),
+            "{label}: corner {c} worst slack"
+        );
+    }
+    assert_eq!(
+        graph.critical_path().gates,
+        scratch.critical_path().gates,
+        "{label}: critical path"
+    );
+}
+
+#[test]
+fn rebuild_carries_vt_classes_budgets_constraint_and_stats() {
+    // `apply_edits` and `set_options` rebuild the graph. The twin
+    // sequences above put both sides through the same rebuild, so a
+    // rebuild that dropped Vt classes or budgets on both would still
+    // agree; here the reference is built from scratch instead.
+    let lib = Library::cmos025();
+    let circuit = suite::circuit("c880").unwrap();
+    let sizing = Sizing::minimum(&circuit, &lib);
+    let mut graph = TimingGraph::with_corners(
+        &circuit,
+        &lib,
+        &sizing,
+        &AnalyzeOptions::default(),
+        &corners(),
+    )
+    .unwrap();
+    let tc = 0.9 * graph.critical_delay_ps();
+    graph.set_constraint(tc);
+    let budgets = ((1, 2), (1, 5));
+    graph.set_sweep_budgets(budgets.0, budgets.1);
+    let gates: Vec<GateId> = circuit.gate_ids().collect();
+    for &g in gates.iter().step_by(5) {
+        graph.set_vt_class(g, VtClass::Hvt);
+    }
+    let _ = graph.worst_slack_overall_ps();
+    let old_classes: Vec<VtClass> = gates.iter().map(|&g| graph.vt_class(g)).collect();
+    assert!(old_classes.contains(&VtClass::Hvt));
+
+    // Resizes left pending across the edit.
+    let cref = lib.min_drive_ff();
+    for (i, &g) in gates.iter().step_by(7).enumerate() {
+        graph.resize_gate(g, cref * (1.5 + (i % 4) as f64));
+    }
+    let net = circuit
+        .net_ids()
+        .filter(|&n| circuit.driver_gate(n).is_some() && circuit.net(n).fanout() >= 2)
+        .max_by_key(|&n| circuit.net(n).fanout())
+        .expect("c880 has fanout nets");
+    let dual = gates
+        .iter()
+        .copied()
+        .find(|&g| circuit.gate(g).kind().demorgan_dual().is_some())
+        .expect("c880 has NAND/NOR gates");
+    let plan: EditPlan = vec![
+        EditOp::InsertBuffer {
+            net,
+            loads: circuit.net(net).loads()[1..].to_vec(),
+            stage_cin_ff: [2.0 * cref, 4.0 * cref],
+        },
+        EditOp::DeMorgan {
+            gate: dual,
+            inv_cin_ff: 1.5 * cref,
+        },
+    ]
+    .into();
+    let before = graph.stats();
+    let applied = graph.apply_edits(&plan).unwrap();
+    let after = graph.stats();
+    assert_eq!(after.structural_edits, before.structural_edits + plan.len());
+    assert_eq!(after.updates, before.updates + 1);
+    assert_eq!(graph.sweep_budgets(), budgets);
+    for (i, &g) in gates.iter().enumerate() {
+        assert_eq!(graph.vt_class(g), old_classes[i], "old gate {g}");
+    }
+    let created: Vec<GateId> = applied.iter().flat_map(|a| a.new_gates.clone()).collect();
+    assert_eq!(created.len(), 2 + circuit.gate(dual).inputs().len() + 1);
+    for &g in &created {
+        assert_eq!(graph.vt_class(g), VtClass::Svt, "new gate {g}");
+    }
+    assert_matches_scratch(&graph, &lib, tc, "after apply_edits");
+
+    // An option change under pending resizes rebuilds the same way.
+    for &g in created.iter().chain(gates.iter().step_by(11)) {
+        graph.resize_gate(g, 3.0 * cref);
+    }
+    let before = graph.stats();
+    let options = AnalyzeOptions {
+        po_load_ff: 25.0,
+        input_transition_ps: 75.0,
+    };
+    graph.set_options(&options);
+    let after = graph.stats();
+    assert_eq!(graph.options(), &options);
+    assert_eq!(after.structural_edits, before.structural_edits);
+    assert_eq!(after.updates, before.updates + 1);
+    assert_eq!(graph.sweep_budgets(), budgets);
+    for (i, &g) in gates.iter().enumerate() {
+        assert_eq!(graph.vt_class(g), old_classes[i], "old gate {g}");
+    }
+    for &g in &created {
+        assert_eq!(graph.vt_class(g), VtClass::Svt, "new gate {g}");
+    }
+    assert_matches_scratch(&graph, &lib, tc, "after set_options");
 }

@@ -446,12 +446,11 @@ fn merged_forward_flush_beats_per_mutation_propagation() {
 
 #[test]
 fn surgery_interleaved_with_pending_logs_keeps_both_id_spaces_consistent() {
-    // The lazy/surgery seam (PR 5's satellite): resizes whose forward
-    // *and* backward seeds are still pending when graph surgery
-    // re-ranks the netlist — and then resizes of the freshly created
-    // gates on top — must neither drop nor mis-key any seed, and the
-    // sizing must extend exactly by the planned (clamped) sizes at the
-    // new dense ids. The first query after the pile-up answers
+    // The lazy/surgery seam: resizes whose forward *and* backward seeds
+    // are still pending when graph surgery rebuilds the graph — and
+    // then resizes of the freshly created gates on top — must all land,
+    // and the sizing must extend exactly by the planned (clamped) sizes
+    // at the new dense ids. The first query after the pile-up answers
     // bit-identically to a from-scratch eager pass.
     let lib = Library::cmos025();
     let circuit = suite::circuit("c432").unwrap();
@@ -469,8 +468,8 @@ fn surgery_interleaved_with_pending_logs_keeps_both_id_spaces_consistent() {
             let g = *rng.pick(&gates);
             graph.resize_gate(g, cref * (1.0 + 20.0 * rng.next_f64()));
         }
-        // 2. Surgery while those logs are un-flushed: ids re-rank, the
-        //    sizing and per-id state extend.
+        // 2. Surgery while those logs are un-flushed: the graph
+        //    rebuilds and the sizing extends.
         let before_gates = graph.circuit().gate_count();
         let plan = random_buffer_plan(&graph, &lib, &mut rng).expect("fanout-heavy nets exist");
         let applied = graph.apply_edits(&plan).expect("valid edit");

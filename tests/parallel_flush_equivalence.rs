@@ -217,8 +217,7 @@ fn random_flush_sequence(circuit: Circuit, seed: u64, steps: usize, check_every:
                 graph.resize_gates(batch);
             }
             1 => {
-                // Structural surgery: re-levels, re-ranks and re-slots
-                // under pending seeds.
+                // Structural surgery: a rebuild under pending seeds.
                 if let Some(plan) = random_buffer_plan(&graph, &lib, &mut rng) {
                     graph.apply_edits(&plan).expect("valid edit");
                 }

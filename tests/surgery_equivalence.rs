@@ -302,44 +302,3 @@ fn surgery_interleaved_with_option_and_constraint_changes_matches() {
     }
     assert!(graph.stats().structural_edits > 0);
 }
-
-#[test]
-fn surgery_retime_touches_less_than_a_rebuild() {
-    // The economics of apply_edits: re-timing one buffer insertion must
-    // re-evaluate (far) fewer gates than the full pass a from-scratch
-    // graph pays. (The structural array rebuild is pointer work; the
-    // arc evaluations are what the incremental engine saves.)
-    let lib = Library::cmos025();
-    let base = suite::circuit("c880").unwrap();
-    let mut graph = TimingGraph::new(&base, &lib, &Sizing::minimum(&base, &lib)).unwrap();
-    graph.set_constraint(0.9 * graph.critical_delay_ps());
-    let before = graph.stats();
-    // Buffer a *deep* net (driver late in the topological order): its
-    // remaining downstream cone — the honest blast radius of the edit —
-    // is a fraction of the circuit.
-    let order = base.topo_order().unwrap();
-    let net = order
-        .iter()
-        .rev()
-        .map(|&g| base.gate(g).output())
-        .find(|&n| base.net(n).fanout() >= 2)
-        .expect("c880 has fanout-heavy nets");
-    let loads = base.net(net).loads()[1..].to_vec();
-    let plan: EditPlan = vec![EditOp::InsertBuffer {
-        net,
-        loads,
-        stage_cin_ff: [lib.min_drive_ff(), 4.0 * lib.min_drive_ff()],
-    }]
-    .into();
-    graph.apply_edits(&plan).unwrap();
-    // Surgery itself no longer evaluates any arc (PR 5): the edit's
-    // honest blast radius is what the first post-edit query flushes.
-    let _ = graph.worst_slack_overall_ps();
-    let reevals = graph.stats().gates_reevaluated - before.gates_reevaluated;
-    assert!(
-        reevals < graph.circuit().gate_count() / 2,
-        "surgery cone {} vs full pass {}",
-        reevals,
-        graph.circuit().gate_count()
-    );
-}
